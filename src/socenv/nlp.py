@@ -5,14 +5,15 @@ equality constraints, two-sided linear inequalities ``lo <= A z <= hi`` and
 optional nonlinear inequalities ``t(z) <= 0``.  The Hessian is a Powell-damped
 BFGS approximation, globalized by a backtracking line search on an l1
 exact-penalty merit function whose penalty is kept above the largest
-multiplier estimate.  Everything is deterministic: fixed pivoting rules, no
-randomness.
+multiplier estimate.  The QP subsolver uses null-space elimination of
+equalities, then dual active-set on inequalities.  Everything is
+deterministic: fixed pivoting rules, no randomness.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .transcription import NlpProblem
 
 _ACTIVE_TOL = 1e-10
+_RANK_TOL = 1e-10     # |R_kk| / |R_00| below which an equality row is dependent
 
 
 @dataclass
@@ -92,16 +94,23 @@ def fd_gradient(fun, z, step: float = 1e-6) -> np.ndarray:
 
 
 def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
-                  warm_active=None, max_iter: Optional[int] = None) -> QpResult:
+                  max_iter: Optional[int] = None) -> QpResult:
     """Solve min 1/2 d'Hd + g'd  s.t.  A_eq d = b_eq,  lo <= A_ineq d <= hi.
 
-    H must be symmetric positive definite.  Dual active-set iterations
-    (Goldfarb-Idnani): start from the equality-constrained minimum, repeatedly
-    add the most violated inequality side with full or partial dual steps,
-    dropping blocking constraints as needed.  Dense factorizations throughout;
-    deterministic tie-breaking by lowest constraint index.  ``warm_active`` is
-    accepted for API symmetry but ignored (the dual method needs no phase-1
-    and cold-solves are cheap at these sizes).
+    Null-space elimination of equalities, then dual active-set on
+    inequalities.  A column-pivoted QR  A_eq' P = [Y Z] R  gives the
+    particular step d0 = Y R^-T b_eq and a basis Z of the null space of A_eq.
+    The reduced QP in p, with d = d0 + Z p, has Hessian Z'HZ, gradient
+    Z'(H d0 + g) and inequality rows A_ineq Z with bounds shifted by
+    A_ineq d0; it is solved by dual active-set iterations (Goldfarb-Idnani).
+    The equality multipliers are recovered from stationarity,
+    lam = -R^-1 Y'(H d + g + A_ineq' mu).
+
+    An equality row that depends on the others is dropped with multiplier 0
+    when it is consistent with them; otherwise the status is "infeasible".
+    H must be positive definite on the null space of A_eq (the reduced
+    Hessian is regularized if it is not).  Deterministic: fixed pivoting and
+    tie-breaking by lowest constraint index.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -125,8 +134,47 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
     if max_iter is None:
         max_iter = 50 + 10 * (n + 2 * m)
 
+    scale_b = max(1.0,
+                  float(np.max(np.abs(b_eq), initial=0.0)),
+                  float(np.max(np.abs(lo[np.isfinite(lo)]), initial=0.0)),
+                  float(np.max(np.abs(hi[np.isfinite(hi)]), initial=0.0)))
+    feas_tol = 1e-9 * scale_b
+
+    lam = np.zeros(n_eq)
+    if n_eq:
+        # Imported on first use: scipy.linalg adds ~0.3 s to `import socenv`.
+        from scipy.linalg import qr, solve_triangular
+        Q, R, piv = qr(A_eq.T, pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = int(np.count_nonzero(diag > _RANK_TOL * diag[0]))
+        Y, Z, R11 = Q[:, :rank], Q[:, rank:], R[:rank, :rank]
+        d0 = Y @ solve_triangular(R11, b_eq[piv[:rank]], trans="T")
+        dependent = piv[rank:]
+        if np.any(np.abs(A_eq[dependent] @ d0 - b_eq[dependent]) > feas_tol):
+            return QpResult(d0, lam, np.zeros(m), [], "infeasible", 0)
+        r0 = A_ineq @ d0
+        p, mu, active, status, iters = _dual_active_set(
+            Z.T @ H @ Z, Z.T @ (H @ d0 + g), A_ineq @ Z, lo - r0, hi - r0,
+            feas_tol, max_iter)
+        d = d0 + Z @ p
+        lam[piv[:rank]] = -solve_triangular(R11, Y.T @ (H @ d + g + A_ineq.T @ mu))
+    else:
+        d, mu, active, status, iters = _dual_active_set(
+            H, g, A_ineq, lo, hi, feas_tol, max_iter)
+    return QpResult(d, lam, mu, active, status, iters)
+
+
+def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
+    """Dual active-set iterations for min 1/2 x'Hx + g'x  s.t.  lo <= A x <= hi.
+
+    Start from the unconstrained minimum, repeatedly add the most violated
+    side with full or partial dual steps, dropping blocking sides as needed.
+    Returns (x, signed multiplier per row, active sides, status, iterations).
+    """
     from scipy.linalg import cho_factor, cho_solve
-    diag_scale = max(1.0, float(np.max(np.abs(np.diag(H)))))
+    n = g.size
+    m = A.shape[0]
+    diag_scale = max(1.0, float(np.max(np.abs(np.diag(H)), initial=0.0)))
     shift = 0.0
     while True:
         try:
@@ -140,18 +188,12 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
     def hsolve(v):
         return cho_solve(chol, v)
 
-    scale_b = max(1.0,
-                  float(np.max(np.abs(b_eq), initial=0.0)),
-                  float(np.max(np.abs(lo[np.isfinite(lo)]), initial=0.0)),
-                  float(np.max(np.abs(hi[np.isfinite(hi)]), initial=0.0)))
-    feas_tol = 1e-9 * scale_b
-
-    # Constraints in the form normal @ x >= rhs; equality rows first.
-    # Inequality sides are tagged (row, side) with side -1 (lower) / +1 (upper).
+    # Sides are tagged (row, side) with side -1 (lower, A x >= lo) or +1
+    # (upper, -A x >= -hi); each is kept as normal @ x >= rhs.
     x = -hsolve(g)
-    active: list = []       # constraint ids: ("eq", i) or (row, side)
-    u: list = []            # multipliers aligned with active (>= 0 for sides)
-    ginv_cols: list = []    # cached H^{-1} @ normal per active constraint
+    active: list = []       # active sides
+    u: list = []            # multipliers aligned with active (>= 0)
+    ginv_cols: list = []    # cached H^{-1} @ normal per active side
     normals: list = []
     it_count = 0
 
@@ -168,7 +210,13 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
             r, *_ = np.linalg.lstsq(Mred, Ng.T @ nrm, rcond=None)
         return gn - Ng @ r, r
 
-    def add_constraint(cid, nrm, rhs, is_eq):
+    def drop(k):
+        active.pop(k)
+        u.pop(k)
+        ginv_cols.pop(k)
+        normals.pop(k)
+
+    def add_constraint(cid, nrm, rhs):
         nonlocal x, it_count
         u_new = 0.0
         while True:
@@ -181,41 +229,28 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
             curv_full = float(nrm @ hsolve(nrm))
             if not np.isfinite(curv) or not np.isfinite(resid):
                 return "cycle"
+            blockers = [(u[k] / r[k], k) for k in range(len(active)) if r[k] > _ACTIVE_TOL]
             if curv <= 1e-12 * max(curv_full, 1e-300):
                 # Normal linearly dependent on the active set.
-                blockers = [(u[k] / r[k], k) for k in range(len(active))
-                            if active[k][0] != "eq" and r[k] > _ACTIVE_TOL]
                 if not blockers:
                     if abs(resid) <= feas_tol:
                         return "redundant"
                     return "infeasible"
-                t, k_drop = min(blockers, key=lambda p: (p[0], p[1]))
+                t, k_drop = min(blockers)
                 for k in range(len(active)):
                     u[k] -= t * r[k]
                 u_new += t
-                active.pop(k_drop)
-                u.pop(k_drop)
-                ginv_cols.pop(k_drop)
-                normals.pop(k_drop)
+                drop(k_drop)
                 continue
             t1 = resid / curv
-            if is_eq:
-                t = t1   # equalities are added before any side is active
-            else:
-                blockers = [(u[k] / r[k], k) for k in range(len(active))
-                            if active[k][0] != "eq" and r[k] > _ACTIVE_TOL]
-                t2, k_drop = min(blockers, key=lambda p: (p[0], p[1])) if blockers \
-                    else (np.inf, -1)
-                t = min(t1, t2)
+            t2, k_drop = min(blockers) if blockers else (np.inf, -1)
+            t = min(t1, t2)
             x = x + t * z
             for k in range(len(active)):
                 u[k] -= t * r[k]
             u_new += t
-            if (not is_eq) and t < t1 - 1e-300 and t == t2:
-                active.pop(k_drop)
-                u.pop(k_drop)
-                ginv_cols.pop(k_drop)
-                normals.pop(k_drop)
+            if t < t1 - 1e-300 and t == t2:
+                drop(k_drop)
                 continue
             active.append(cid)
             u.append(u_new)
@@ -223,55 +258,37 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
             ginv_cols.append(hsolve(nrm))
             return "added"
 
-    for i in range(n_eq):
-        res = add_constraint(("eq", i), A_eq[i], b_eq[i], True)
-        if res in ("infeasible", "cycle"):
-            return QpResult(x, np.zeros(n_eq), np.zeros(m), [], res, it_count)
-
     status = "optimal"
-    while True:
-        if m:
-            r_all = A_ineq @ x
-            v_lo = lo - r_all
-            v_hi = r_all - hi
-            v_lo[~np.isfinite(lo)] = -np.inf
-            v_hi[~np.isfinite(hi)] = -np.inf
-            for cid in active:
-                if cid[0] != "eq":
-                    row, side = cid
-                    if side < 0:
-                        v_lo[row] = -np.inf
-                    else:
-                        v_hi[row] = -np.inf
-            i_lo = int(np.argmax(v_lo))
-            i_hi = int(np.argmax(v_hi))
-            worst = max(v_lo[i_lo], v_hi[i_hi])
-            if worst <= feas_tol:
-                break
-            if v_lo[i_lo] >= v_hi[i_hi]:
-                cid, nrm, rhs = (i_lo, -1), A_ineq[i_lo].copy(), lo[i_lo]
+    while m:
+        r_all = A @ x
+        v_lo = lo - r_all
+        v_hi = r_all - hi
+        v_lo[~np.isfinite(lo)] = -np.inf
+        v_hi[~np.isfinite(hi)] = -np.inf
+        for row, side in active:
+            if side < 0:
+                v_lo[row] = -np.inf
             else:
-                cid, nrm, rhs = (i_hi, +1), -A_ineq[i_hi], -hi[i_hi]
-            res = add_constraint(cid, nrm, rhs, False)
-            if res in ("infeasible", "cycle"):
-                status = res
-                break
+                v_hi[row] = -np.inf
+        i_lo = int(np.argmax(v_lo))
+        i_hi = int(np.argmax(v_hi))
+        if max(v_lo[i_lo], v_hi[i_hi]) <= feas_tol:
+            break
+        if v_lo[i_lo] >= v_hi[i_hi]:
+            res = add_constraint((i_lo, -1), A[i_lo].copy(), lo[i_lo])
         else:
+            res = add_constraint((i_hi, +1), -A[i_hi], -hi[i_hi])
+        if res in ("infeasible", "cycle"):
+            status = res
             break
         if it_count > max_iter:
             status = "cycle"
             break
 
-    lam = np.zeros(n_eq)
-    nu_full = np.zeros(m)
-    for cid, mult in zip(active, u):
-        if cid[0] == "eq":
-            lam[cid[1]] = -mult
-        else:
-            row, side = cid
-            nu_full[row] = side * mult
-    active_sides = [cid for cid in active if cid[0] != "eq"]
-    return QpResult(x, lam, nu_full, active_sides, status, it_count)
+    mu = np.zeros(m)
+    for (row, side), mult in zip(active, u):
+        mu[row] = side * mult
+    return x, mu, active, status, it_count
 
 
 def _linear_violation(A, lo, hi, z):
@@ -369,7 +386,6 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
     relaxed = 0
-    warm = None
     iterates = [z.copy()] if opts.record_iterates else None
     status = "max_iters"
     iters_done = 0
@@ -412,7 +428,7 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
             lo_all = nlp.ineq_lower - nlp.A_ineq @ z if nlp.A_ineq.shape[0] else nlp.ineq_lower
             hi_all = nlp.ineq_upper - nlp.A_ineq @ z if nlp.A_ineq.shape[0] else nlp.ineq_upper
 
-        qp = qp_active_set(B, g, J, -c, A_all, lo_all, hi_all, warm_active=warm)
+        qp = qp_active_set(B, g, J, -c, A_all, lo_all, hi_all)
         if qp.status != "optimal":
             # Proportional relaxation of the equality targets; a crude but
             # deterministic stand-in for a full elastic-mode restoration.
@@ -426,7 +442,6 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
             if qp.status != "optimal":
                 status = "qp_failure"
                 break
-        warm = qp.active_set
         d = qp.d
         lam = qp.lam_eq
         nu_all = qp.mu

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from socenv.nlp import (SqpOptions, fd_gradient, fd_jacobian, kkt_certificate,
                         qp_active_set, solve_sqp)
@@ -158,6 +159,95 @@ class TestQpAgainstEnumeration:
         assert np.array_equal(a.d, b.d)
         assert a.active_set == b.active_set
         assert a.iterations == b.iterations
+
+
+def feasible_qp(rng, n, m, n_eq):
+    """Like random_qp, but the equalities and bounds hold at a random point."""
+    H, g, A_eq, _, A, _, _ = random_qp(rng, n, m, n_eq)
+    d_feas = rng.standard_normal(n)
+    half = rng.uniform(0.1, 1.5, m)
+    mid = A @ d_feas + rng.uniform(-1.0, 1.0, m) * half
+    return H, g, A_eq, A_eq @ d_feas, A, mid - half, mid + half
+
+
+def assert_qp_kkt(res, H, g, A_eq, b_eq, A, lo, hi, tol=1e-8):
+    """Independent KKT test of a convex QP result (sufficient for optimality)."""
+    assert res.status == "optimal"
+    d, mu = res.d, res.mu
+    assert np.max(np.abs(H @ d + g + A_eq.T @ res.lam_eq + A.T @ mu)) <= tol
+    assert np.max(np.abs(A_eq @ d - b_eq), initial=0.0) <= 1e-9
+    vals = A @ d
+    assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
+    sides = dict(res.active_set)
+    for j in range(A.shape[0]):
+        if j not in sides:
+            assert mu[j] == 0.0
+            continue
+        assert sides[j] * mu[j] >= 0.0
+        bound = lo[j] if sides[j] < 0 else hi[j]
+        assert abs(mu[j]) * abs(vals[j] - bound) <= tol
+
+
+class TestQpEqualityElimination:
+    H = np.eye(3)
+    g = np.array([-1.0, 0.5, 2.0])
+    A_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b_eq = np.array([1.0, -1.0])
+    # Half the sum of the two rows above: dependent, and the smallest after
+    # projecting them out, so the pivoted QR drops it.
+    row3 = np.array([[0.5, 1.0, 0.5]])
+
+    def test_consistent_redundant_row_is_dropped(self):
+        base = qp_active_set(self.H, self.g, self.A_eq, self.b_eq)
+        res = qp_active_set(self.H, self.g, np.vstack([self.A_eq, self.row3]),
+                            np.append(self.b_eq, 0.5 * self.b_eq.sum()))
+        assert res.status == base.status == "optimal"
+        np.testing.assert_allclose(res.d, base.d, atol=1e-12)
+        np.testing.assert_allclose(res.lam_eq[:2], base.lam_eq, atol=1e-12)
+        assert res.lam_eq[2] == 0.0
+
+    def test_inconsistent_row_is_infeasible(self):
+        res = qp_active_set(self.H, self.g, np.vstack([self.A_eq, self.row3]),
+                            np.append(self.b_eq, 0.5 * self.b_eq.sum() + 1e-3))
+        assert res.status == "infeasible"
+
+    def test_square_equality_system(self):
+        A_eq = np.vstack([self.A_eq, [[1.0, 0.0, 2.0]]])
+        b_eq = np.array([1.0, -1.0, 3.0])
+        d_eq = np.linalg.solve(A_eq, b_eq)
+        A = np.array([[1.0, 0.0, 0.0]])
+        res = qp_active_set(self.H, self.g, A_eq, b_eq, A,
+                            np.array([d_eq[0] - 1.0]), np.array([np.inf]))
+        assert_qp_kkt(res, self.H, self.g, A_eq, b_eq, A,
+                      np.array([d_eq[0] - 1.0]), np.array([np.inf]))
+        np.testing.assert_allclose(res.d, d_eq, atol=1e-12)
+        res = qp_active_set(self.H, self.g, A_eq, b_eq, A,
+                            np.array([d_eq[0] + 1.0]), np.array([np.inf]))
+        assert res.status == "infeasible"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equality_heavy_kkt(self, seed):
+        """n = 30, 20 equalities, 15 two-sided rows: out of the 3^m oracle's reach."""
+        data = feasible_qp(np.random.default_rng(seed), 30, 15, 20)
+        res = qp_active_set(*data)
+        assert_qp_kkt(res, *data)
+        again = qp_active_set(*data)
+        assert np.array_equal(res.d, again.d)
+        assert np.array_equal(res.lam_eq, again.lam_eq)
+        assert np.array_equal(res.mu, again.mu)
+        assert res.active_set == again.active_set
+        assert res.iterations == again.iterations
+
+    def test_equality_heavy_infeasibility_matches_lp(self):
+        for seed in range(20):
+            H, g, A_eq, b_eq, A, lo, hi = random_qp(np.random.default_rng(seed), 30, 15, 20)
+            res = qp_active_set(H, g, A_eq, b_eq, A, lo, hi)
+            lp = linprog(np.zeros(30), A_ub=np.vstack([A, -A]), b_ub=np.concatenate([hi, -lo]),
+                         A_eq=A_eq, b_eq=b_eq, bounds=(None, None), method="highs")
+            assert lp.status in (0, 2)
+            assert (res.status == "infeasible") == (lp.status == 2)
+            if lp.status == 0:
+                assert_qp_kkt(res, H, g, A_eq, b_eq, A, lo, hi)
 
 
 class TestFiniteDifferences:
