@@ -1,66 +1,40 @@
 """Batch command-line front end: grid inspection, envelope demos, single
 solves, and benchmark runs.
 
-Exit codes: 0 success, 1 solver failure, 2 usage/config error.  Every
-subcommand is deterministic given (config, seed); wall-clock fields are the
-only nondeterministic outputs.
+Each subcommand accepts only the options it reads.  Exit codes: 0 success,
+1 solver failure, 2 usage/config error.  Every subcommand is deterministic
+given (config, seed); wall-clock fields are the only nondeterministic outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
 
-from .analysis import (dense_violation_scan, parse_method, quasi_optimal_reference,
-                       rows_to_csv, rows_to_json, run_benchmark, solve_method)
+from .analysis import (dense_violation_scan, parse_method, rows_to_csv, rows_to_json,
+                       run_benchmark, solve_method)
 from .envelope import envelope_matrix, spline_bounds
 from .errors import DomainError
 from .nlp import SqpOptions
 from .ocp import academic_problem
 from .polynomial import basis_matrix, lgl_grid, spline_samples
-from .vehicle import avp_problem, load_config, vehicle_params_from_dict
+from .vehicle import avp_problem, avp_problem_from_config
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Echoed losslessly into JSON artifacts for provenance."""
-
-    subcommand: str
-    problem: Optional[str] = None
-    method: Optional[str] = None
-    degree: Optional[int] = None
-    nodes: Optional[int] = None
-    out: Optional[str] = None
-    format: str = "csv"
-    seed: int = 0
-    samples: int = 1000
-    config: Optional[str] = None
-    max_iters: int = 400
-    count: int = 100
-
-
-def _problem(cfg: RunConfig):
-    if cfg.problem == "academic":
+def _problem(ns: argparse.Namespace):
+    if ns.problem == "academic":
+        if ns.config:
+            raise ValueError("--config applies to --problem avp only")
         return academic_problem()
-    if cfg.problem == "avp":
-        if cfg.config:
-            sections = load_config(cfg.config)
-            params = vehicle_params_from_dict(sections["vehicle"])
-            prob_kw = {k: float(v) for k, v in sections["problem"].items()
-                       if k in ("t0", "tf")}
-            return avp_problem(params, **prob_kw)
-        return avp_problem()
-    raise ValueError(f"unknown problem id {cfg.problem!r}; expected academic or avp")
+    return avp_problem_from_config(ns.config) if ns.config else avp_problem()
 
 
 def _write(text: str, path: Optional[str]):
@@ -71,23 +45,23 @@ def _write(text: str, path: Optional[str]):
         sys.stdout.write(text)
 
 
-def cmd_nodes(cfg: RunConfig) -> int:
-    grid = lgl_grid(cfg.nodes)
+def cmd_nodes(ns: argparse.Namespace) -> int:
+    grid = lgl_grid(ns.nodes)
     lines = ["tau,weight"]
     lines += [f"{float(t)!r},{float(w)!r}" for t, w in zip(grid.nodes, grid.weights)]
     lines.append(f"sum,{float(np.sum(grid.weights))!r}")
-    _write("\n".join(lines) + "\n", cfg.out)
+    _write("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 
 
-def cmd_envelope_demo(cfg: RunConfig) -> int:
-    M = cfg.degree
-    rng = np.random.default_rng(cfg.seed)
+def cmd_envelope_demo(ns: argparse.Namespace) -> int:
+    M = ns.degree
+    rng = np.random.default_rng(ns.seed)
     basis = basis_matrix(M)
     env = envelope_matrix(M, basis)
-    taus = np.linspace(-1.0, 1.0, max(cfg.samples, 1000))
+    taus = np.linspace(-1.0, 1.0, ns.samples)
     lines = ["spline,true_min,true_max,bound_min,bound_max,gap_min,gap_max"]
-    for i in range(cfg.count):
+    for i in range(ns.count):
         alpha = rng.standard_normal(M + 1)
         vals = spline_samples(alpha[:, None], basis, taus)[:, 0]
         lo, hi = spline_bounds(alpha[:, None], env)
@@ -95,23 +69,23 @@ def cmd_envelope_demo(cfg: RunConfig) -> int:
             float(i), float(vals.min()), float(vals.max()),
             float(lo[0]), float(hi[0]),
             float(vals.min() - lo[0]), float(hi[0] - vals.max()))))
-    _write("\n".join(lines) + "\n", cfg.out)
+    _write("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    ocp = _problem(cfg)
-    label = cfg.method or f"SOCSE-{cfg.degree or 8}"
-    rep, sol, nlp, z = solve_method(ocp, label, SqpOptions(max_iters=cfg.max_iters))
-    payload = {"config": asdict(cfg), "method": label,
+def cmd_solve(ns: argparse.Namespace) -> int:
+    ocp = _problem(ns)
+    label = ns.method or f"SOCSE-{ns.degree or 8}"
+    rep, sol, nlp, z = solve_method(ocp, label, SqpOptions(max_iters=ns.max_iters))
+    payload = {"config": vars(ns), "method": label,
                "report": {"status": rep.status, "iterations": rep.iterations,
                           "objective": rep.objective,
                           "max_eq_residual": rep.max_eq_residual,
                           "max_ineq_violation": rep.max_ineq_violation,
                           "wall_time": rep.wall_time}}
     if hasattr(sol, "alpha_x"):
-        ts, X, U = sol.sample_dense(max(cfg.samples, 1000))
-        scan = dense_violation_scan(sol, ocp, max(cfg.samples, 1000))
+        ts, X, U = sol.sample_dense(ns.samples)
+        scan = dense_violation_scan(sol, ocp, ns.samples)
         payload.update({
             "alpha_x": [a.tolist() for a in sol.alpha_x],
             "alpha_u": [a.tolist() for a in sol.alpha_u],
@@ -123,29 +97,43 @@ def cmd_solve(cfg: RunConfig) -> int:
     else:
         payload.update({"t": sol.times.tolist(), "x": sol.states.tolist(),
                         "u": sol.controls.tolist()})
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns.out)
     return EXIT_OK if rep.status == "converged" else EXIT_SOLVER
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    ocp = _problem(cfg)
-    if cfg.method:
-        methods = [m.strip() for m in cfg.method.split(",") if m.strip()]
-    elif cfg.problem == "academic":
+def cmd_bench(ns: argparse.Namespace) -> int:
+    ocp = _problem(ns)
+    if ns.method:
+        methods = [m.strip() for m in ns.method.split(",") if m.strip()]
+    elif ns.problem == "academic":
         methods = ["MS-50", "PS-5", "PS-8", "SOCSE-5", "SOCSE-8"]
     else:
         methods = ["SOC-3", "SOC-5", "SOCSE-3", "SOCSE-5", "SOCSE-8"]
     for m in methods:
         parse_method(m)
-    rows = run_benchmark(ocp, methods, opts=SqpOptions(max_iters=cfg.max_iters),
-                         samples=max(cfg.samples, 1000))
-    if cfg.format == "json":
-        _write(rows_to_json(rows, asdict(cfg)) + "\n", cfg.out)
+    rows = run_benchmark(ocp, methods, opts=SqpOptions(max_iters=ns.max_iters),
+                         samples=ns.samples, skip_reference=ns.skip_reference)
+    if ns.format == "json":
+        _write(rows_to_json(rows, vars(ns)) + "\n", ns.out)
     else:
-        _write(rows_to_csv(rows), cfg.out)
+        _write(rows_to_csv(rows), ns.out)
     if any(r.status != "converged" for r in rows):
         return EXIT_SOLVER
     return EXIT_OK
+
+
+COMMANDS = {"nodes": cmd_nodes, "envelope-demo": cmd_envelope_demo,
+            "solve": cmd_solve, "bench": cmd_bench}
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,35 +141,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="socenv",
         description="Spline collocation with safety envelopes: solve and benchmark OCPs.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--config", help="YAML config file (vehicle/problem/solver)")
-        p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
+    out_help = "output path (default stdout)"
+    samples_help = "dense sample count (at least 1000)"
+    config_help = "YAML config file (vehicle/problem sections); --problem avp only"
 
     p = sub.add_parser("nodes", help="print LGL nodes and weights")
-    p.add_argument("--nodes", type=int, required=True, metavar="N")
-    add_common(p)
+    p.add_argument("--nodes", type=_at_least(2), required=True, metavar="N")
+    p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("envelope-demo",
                        help="random splines vs their Bernstein bounds")
-    p.add_argument("--degree", type=int, required=True, metavar="M")
+    p.add_argument("--degree", type=_at_least(1), required=True, metavar="M")
     p.add_argument("--count", type=int, default=100)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
+    p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("solve", help="solve one problem with one method")
     p.add_argument("--problem", choices=("academic", "avp"), required=True)
     p.add_argument("--method", help="method label, e.g. SOCSE-8, SOC-5, MS-50")
-    p.add_argument("--degree", type=int, help="shorthand for SOCSE-<degree>")
-    add_common(p)
+    p.add_argument("--degree", type=_at_least(1), help="shorthand for SOCSE-<degree>")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
+    p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
+    p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     p.add_argument("--problem", choices=("academic", "avp"), required=True)
     p.add_argument("--method", help="comma-separated method labels")
-    add_common(p)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
+    p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
+    p.add_argument("--out", help=out_help)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--skip-reference", action="store_true",
+                   help="skip the fine-grid reference solve (cost_dev_pct, ctrl_dev = NaN)")
 
     return parser
 
@@ -192,25 +186,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    known = set(RunConfig.__dataclass_fields__)
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in known})
     try:
-        if cfg.subcommand == "nodes":
-            if cfg.nodes is None or cfg.nodes < 2:
-                print("error: --nodes must be at least 2", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_nodes(cfg)
-        if cfg.subcommand == "envelope-demo":
-            if cfg.degree is None or cfg.degree < 1:
-                print("error: --degree must be at least 1", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_envelope_demo(cfg)
-        if cfg.subcommand == "solve":
-            return cmd_solve(cfg)
-        if cfg.subcommand == "bench":
-            return cmd_bench(cfg)
-        print(f"error: unknown subcommand {cfg.subcommand!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return COMMANDS[ns.subcommand](ns)
     except (ValueError, DomainError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,7 +37,6 @@ class SqpOptions:
     h0: float = 1.0
     gn_floor: float = 1e-2   # eigenvalue floor applied to a supplied objective Hessian
     record_iterates: bool = False
-    verbose: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.ls_backtrack < 1.0:
@@ -399,13 +398,17 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
             viol = max(viol, float(np.max(np.maximum(tt, 0.0), initial=0.0)))
         return viol
 
-    def stationarity(gg, JJ, JJt):
+    def lagr_grad(gg, JJ, JJt):
+        """Gradient of the Lagrangian at the current multiplier estimates."""
         r = gg + JJ.T @ lam
         if nu_lin.size:
             r = r + nlp.A_ineq.T @ nu_lin
         if has_nl and nu_nl.size:
             r = r + JJt.T @ nu_nl
-        return float(np.max(np.abs(r), initial=0.0))
+        return r
+
+    def stationarity(gg, JJ, JJt):
+        return float(np.max(np.abs(lagr_grad(gg, JJ, JJt)), initial=0.0))
 
     for it in range(1, opts.max_iters + 1):
         iters_done = it
@@ -418,15 +421,12 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
 
         # Assemble the QP in the step d: linear rows are shifted to the
         # current point, nonlinear inequalities are linearized.
+        Az = nlp.A_ineq @ z
+        A_all, lo_all, hi_all = nlp.A_ineq, nlp.ineq_lower - Az, nlp.ineq_upper - Az
         if has_nl:
-            A_all = np.vstack([nlp.A_ineq, Jt])
-            lo_all = np.concatenate([nlp.ineq_lower - nlp.A_ineq @ z,
-                                     np.full(t_vals.size, -np.inf)])
-            hi_all = np.concatenate([nlp.ineq_upper - nlp.A_ineq @ z, -t_vals])
-        else:
-            A_all = nlp.A_ineq
-            lo_all = nlp.ineq_lower - nlp.A_ineq @ z if nlp.A_ineq.shape[0] else nlp.ineq_lower
-            hi_all = nlp.ineq_upper - nlp.A_ineq @ z if nlp.A_ineq.shape[0] else nlp.ineq_upper
+            A_all = np.vstack([A_all, Jt])
+            lo_all = np.concatenate([lo_all, np.full(t_vals.size, -np.inf)])
+            hi_all = np.concatenate([hi_all, -t_vals])
 
         qp = qp_active_set(B, g, J, -c, A_all, lo_all, hi_all)
         if qp.status != "optimal":
@@ -519,14 +519,6 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
         J_new = eq_jac(z_try)
         Jt_new = nl_jac(z_try) if has_nl else None
 
-        def lagr_grad(gg, JJ, JJt):
-            r = gg + JJ.T @ lam
-            if nu_lin.size:
-                r = r + nlp.A_ineq.T @ nu_lin
-            if has_nl and nu_nl.size:
-                r = r + JJt.T @ nu_nl
-            return r
-
         if use_gn:
             B = gn_hessian(z_try)
         else:
@@ -542,11 +534,6 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
                 if sy > 1e-14:
                     B = B + np.outer(y, y) / sy - np.outer(Bs, Bs) / sBs
                     B = 0.5 * (B + B.T)
-
-        if opts.verbose:
-            print(f"  sqp it={it:4d} f={f_try: .6e} |c|={np.max(np.abs(c_try), initial=0.0):.3e} "
-                  f"|d|={np.max(np.abs(d)):.3e} alpha={alpha:.3e} sigma={sigma:.2e} "
-                  f"qp_it={qp.iterations} act={len(qp.active_set)}")
 
         z, f, g, c, J = z_try, f_try, g_new, c_try, J_new
         t_vals, Jt = t_try, Jt_new

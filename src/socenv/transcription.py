@@ -1,13 +1,13 @@
 """Transcribe a continuous OCP into a finite dense NLP.
 
-Three routes are provided:
+Two routes are provided:
 
-* ``transcribe_socse`` -- Legendre-spline collocation on an LGL grid with the
-  Bernstein envelope rows bounding every state/control channel over the whole
-  interval (the safety-envelope scheme).
-* ``transcribe_soc`` -- identical except the box constraints are imposed only
-  at the collocation nodes (the classic node-only scheme; ``pseudospectral``
-  mode is this with N = M + 1 nodes, the Lagrange-equivalent choice).
+* ``transcribe`` -- Legendre-spline collocation on an LGL grid.  In ``socse``
+  mode the Bernstein envelope rows bound every state/control channel over the
+  whole interval (the safety-envelope scheme); in ``soc`` mode the box
+  constraints are imposed only at the collocation nodes (the classic
+  node-only scheme; ``pseudospectral`` mode is this with N = M + 1 nodes, the
+  Lagrange-equivalent choice).
 * ``transcribe_multiple_shooting`` -- RK4 multiple shooting with
   piecewise-constant controls.
 
@@ -21,7 +21,7 @@ scaled by the time map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -174,7 +174,6 @@ class SplineSolution:
     time_map: TimeMap
     cfg: CollocationConfig
     basis: object
-    grid: object
     env: EnvelopeMatrices
     objective: Optional[float] = None
     x_bounds: tuple = None
@@ -234,7 +233,8 @@ def _check_dof(ocp: OcpProblem, cfg: CollocationConfig):
         raise DofViolationError(free, rows)
 
 
-def _transcribe_collocation(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
+def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
+    """Collocation NLP; box rows are envelope rows or node rows by ``cfg.mode``."""
     _check_dof(ocp, cfg)
     layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u, segments=cfg.segments)
     basis = basis_matrix(cfg.M)
@@ -404,24 +404,6 @@ def _transcribe_collocation(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProbl
     )
 
 
-def transcribe_socse(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
-    """Collocation NLP with full-interval envelope bounds on every channel."""
-    if cfg.node_only:
-        raise ValueError("config mode is node-only; use transcribe_soc")
-    return _transcribe_collocation(ocp, cfg)
-
-
-def transcribe_soc(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
-    """Collocation NLP with box constraints at the collocation nodes only."""
-    if not cfg.node_only:
-        raise ValueError("config mode is socse; use transcribe_socse")
-    return _transcribe_collocation(ocp, cfg)
-
-
-def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
-    return transcribe_soc(ocp, cfg) if cfg.node_only else transcribe_socse(ocp, cfg)
-
-
 def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
                                  substeps: int = 1) -> NlpProblem:
     """RK4 multiple-shooting NLP with piecewise-constant controls."""
@@ -553,7 +535,6 @@ def decode(z: np.ndarray, nlp: NlpProblem, time_map: TimeMap,
         time_map=time_map,
         cfg=cfg,
         basis=basis,
-        grid=lgl_grid(cfg.N),
         env=envelope_matrix(cfg.M, basis),
         objective=objective if objective is not None else nlp.objective(z),
     )

@@ -112,15 +112,6 @@ class VehicleParams:
                 self.drag_coeff, self.v_eps)
 
 
-def fusion_lambda_schedule(v_x: float, v_lo: float, v_hi: float) -> float:
-    """Optional speed-scheduled blend: 0 below v_lo, 1 above v_hi, linear between.
-
-    Provided as an extension for closed-loop use; the transcription keeps the
-    constant ``fusion_lambda`` so the model stays smooth inside the NLP.
-    """
-    return float(np.clip((v_x - v_lo) / (v_hi - v_lo), 0.0, 1.0))
-
-
 @lru_cache(maxsize=8)
 def _build_model(key: tuple):
     """Symbolic fused model; returns lambdified (f, df/dx, df/du, df/dkappa)."""
@@ -336,19 +327,24 @@ def vehicle_params_from_dict(d: dict) -> VehicleParams:
 
 
 def load_config(path) -> dict:
-    """Parse a YAML config file with optional vehicle/problem/solver sections."""
+    """Parse a YAML config file with optional vehicle/problem sections."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"config root must be a mapping, got {type(raw).__name__}")
     cfg = {"vehicle": raw.get("vehicle", {}) or {},
-           "problem": raw.get("problem", {}) or {},
-           "solver": raw.get("solver", {}) or {}}
+           "problem": raw.get("problem", {}) or {}}
     unknown = set(raw) - set(cfg)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     return cfg
 
 
-def load_vehicle_params(path) -> VehicleParams:
-    return vehicle_params_from_dict(load_config(path)["vehicle"])
+def avp_problem_from_config(path) -> OcpProblem:
+    """The valet-parking OCP of a YAML config; the problem section sets t0/tf."""
+    sections = load_config(path)
+    unknown = set(sections["problem"]) - {"t0", "tf"}
+    if unknown:
+        raise ValueError(f"unknown problem config keys: {sorted(unknown)}")
+    return avp_problem(vehicle_params_from_dict(sections["vehicle"]),
+                       **{k: float(v) for k, v in sections["problem"].items()})

@@ -57,7 +57,7 @@ def make_solution(alpha_x, alpha_u, M, time_map):
     basis = basis_matrix(M)
     return SplineSolution(
         alpha_x=[alpha_x], alpha_u=[alpha_u], time_map=time_map,
-        cfg=CollocationConfig(M=M), basis=basis, grid=lgl_grid(M),
+        cfg=CollocationConfig(M=M), basis=basis,
         env=envelope_matrix(M, basis), objective=0.0)
 
 

@@ -1,11 +1,16 @@
 """Command-line front end: outputs, exit codes, determinism."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from socenv import analysis
 from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+
+DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml")
 
 
 def run(capsys, argv):
@@ -117,6 +122,14 @@ class TestSolve:
         assert code == EXIT_SOLVER
         assert json.loads(out)["report"]["status"] != "converged"
 
+    def test_avp_default_config(self, capsys):
+        code, out, _ = run(capsys, ["solve", "--problem", "avp", "--config", DEFAULT_CONFIG,
+                                    "--method", "SOC-3"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["report"]["status"] == "converged"
+        assert payload["config"]["config"] == DEFAULT_CONFIG
+
 
 class TestBench:
     def test_academic_subset_csv(self, capsys):
@@ -133,7 +146,20 @@ class TestBench:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["config"]["problem"] == "academic"
+        assert payload["config"]["skip_reference"] is False
         assert payload["rows"][0]["method"] == "SOCSE-5"
+
+    def test_skip_reference(self, capsys, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference solved despite --skip-reference")
+        monkeypatch.setattr(analysis, "quasi_optimal_reference", no_reference)
+        code, out, _ = run(capsys, ["bench", "--problem", "academic", "--method", "MS-4",
+                                    "--skip-reference", "--format", "json"])
+        assert code == EXIT_OK
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "converged"
+        assert math.isnan(row["cost_dev_pct"]) and math.isnan(row["ctrl_dev"])
+        assert math.isfinite(row["ode_err"])
 
     def test_bad_method_list_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["bench", "--problem", "academic",
@@ -150,3 +176,44 @@ class TestParser:
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "academic", "--format", "csv"],
+        ["nodes", "--nodes", "3", "--max-iters", "5"],
+        ["nodes", "--nodes", "3", "--seed", "1"],
+        ["envelope-demo", "--degree", "3", "--config", DEFAULT_CONFIG],
+    ])
+    def test_options_of_other_subcommands_are_unknown(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["envelope-demo", "--degree", "3"],
+        ["solve", "--problem", "academic"],
+        ["bench", "--problem", "academic", "--method", "SOCSE-5"],
+    ])
+    def test_too_few_samples_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, argv + ["--samples", "10"])
+        assert code == EXIT_USAGE
+        assert "samples" in err
+
+
+class TestConfig:
+    def test_config_with_academic_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["solve", "--problem", "academic",
+                                    "--config", DEFAULT_CONFIG])
+        assert code == EXIT_USAGE
+        assert "--config" in err
+
+    @pytest.mark.parametrize("text", [
+        "vehicle: {}\nsolver: {max_iters: 400}\n",
+        "problem: {tf: 2.0, x0: [1.0, 0.0]}\n",
+        "vehicle: {warp_drive: 1}\n",
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        for sub in ("solve", "bench"):
+            code, out, err = run(capsys, [sub, "--problem", "avp", "--method", "SOC-3",
+                                          "--config", str(path)])
+            assert code == EXIT_USAGE
+            assert out == "" and "unknown" in err

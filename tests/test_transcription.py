@@ -8,8 +8,7 @@ from socenv.nlp import fd_gradient, fd_jacobian
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap
 from socenv.transcription import (CollocationConfig, decode, transcribe,
-                                  transcribe_multiple_shooting, transcribe_soc,
-                                  transcribe_socse)
+                                  transcribe_multiple_shooting)
 
 
 def constant_problem(c=0.7):
@@ -41,7 +40,7 @@ class TestConfig:
 
 class TestDimensions:
     def test_academic_socse_counts(self):
-        nlp = transcribe_socse(academic_problem(), CollocationConfig(M=8, N=8))
+        nlp = transcribe(academic_problem(), CollocationConfig(M=8, N=8))
         assert nlp.n_vars == 18          # (1 + 1) * (8 + 1)
         assert nlp.n_eq == 9             # initial condition + 8 collocation rows
         assert nlp.A_ineq.shape == (18, 18)
@@ -50,20 +49,14 @@ class TestDimensions:
         assert nlp.eq_jac(z).shape == (9, 18)
 
     def test_soc_node_only_rows(self):
-        nlp = transcribe_soc(academic_problem(), CollocationConfig(M=5, N=8, mode="soc"))
+        nlp = transcribe(academic_problem(), CollocationConfig(M=5, N=8, mode="soc"))
         assert nlp.A_ineq.shape[0] == 8 * (1 + 1)   # N * (n_x + n_u)
 
     def test_dof_violation(self):
         with pytest.raises(DofViolationError) as exc:
-            transcribe_socse(academic_problem(), CollocationConfig(M=3, N=8))
+            transcribe(academic_problem(), CollocationConfig(M=3, N=8))
         assert exc.value.free_coeffs == 8    # (1 + 1) * (3 + 1)
         assert exc.value.eq_rows == 9        # 1 * (8 + 1)
-
-    def test_mode_dispatch_guards(self):
-        with pytest.raises(ValueError):
-            transcribe_socse(academic_problem(), CollocationConfig(M=5, mode="soc"))
-        with pytest.raises(ValueError):
-            transcribe_soc(academic_problem(), CollocationConfig(M=5, mode="socse"))
 
     def test_multi_segment_counts(self):
         cfg = CollocationConfig(M=5, N=5, segments=3)

@@ -5,10 +5,9 @@ import pytest
 
 from socenv.errors import SingularCurvilinearError
 from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
-                            avp_reference, avp_stage_cost, avp_stage_cost_grad,
-                            avp_stage_cost_hess, cart_to_curvilinear,
-                            fusion_lambda_schedule, load_config,
-                            load_vehicle_params, vehicle_dynamics,
+                            avp_problem_from_config, avp_reference, avp_stage_cost,
+                            avp_stage_cost_grad, avp_stage_cost_hess,
+                            cart_to_curvilinear, load_config, vehicle_dynamics,
                             vehicle_jacobians, vehicle_params_from_dict)
 
 P = VehicleParams()
@@ -187,20 +186,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             VehicleParams(R=np.zeros((2, 2)))
 
-    def test_lambda_schedule(self):
-        assert fusion_lambda_schedule(0.0, 1.0, 3.0) == 0.0
-        assert fusion_lambda_schedule(2.0, 1.0, 3.0) == pytest.approx(0.5)
-        assert fusion_lambda_schedule(9.0, 1.0, 3.0) == 1.0
-
 
 class TestConfig:
     def test_default_config_round_trip(self, tmp_path):
         import pathlib
         cfg_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml"
-        p = load_vehicle_params(cfg_path)
+        sections = load_config(cfg_path)
+        p = vehicle_params_from_dict(sections["vehicle"])
         assert p.mass == pytest.approx(1200.0)
         assert p.Q.shape == (N_STATES, N_STATES)
-        sections = load_config(cfg_path)
         assert float(sections["problem"]["tf"]) == pytest.approx(2.0)
 
     def test_rejects_unknown_keys(self):
@@ -212,6 +206,12 @@ class TestConfig:
         path.write_text("vehicle: {}\nextra: {}\n")
         with pytest.raises(ValueError, match="sections"):
             load_config(path)
+
+    def test_problem_section_sets_horizon(self, tmp_path):
+        path = tmp_path / "horizon.yaml"
+        path.write_text("problem: {t0: 0.5, tf: 3.0}\n")
+        ocp = avp_problem_from_config(path)
+        assert (ocp.t0, ocp.tf) == (0.5, 3.0)
 
 
 class TestAvpProblem:
