@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Callable, Optional, Sequence
 
@@ -299,7 +300,7 @@ def solve_method(ocp: OcpProblem, label: str, opts: Optional[SqpOptions] = None)
     ReferenceTrajectory-shaped discrete solution.
     """
     family, order = parse_method(label)
-    opts = opts or SqpOptions(max_iters=400)
+    opts = opts or SqpOptions()
     if family == "MS":
         nlp = transcribe_multiple_shooting(ocp, order, substeps=MS_SUBSTEPS)
         z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), opts)
@@ -313,10 +314,9 @@ def solve_method(ocp: OcpProblem, label: str, opts: Optional[SqpOptions] = None)
             cost=float("nan"), objective=rep.objective, iterations=rep.iterations)
         return rep, sol, nlp, z
     mode = {"SOCSE": "socse", "SOC": "soc", "PS": "pseudospectral"}[family]
-    cfg = CollocationConfig(M=order, mode=mode)
-    nlp = transcribe(ocp, cfg)
+    nlp = transcribe(ocp, CollocationConfig(M=order, mode=mode))
     z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), opts)
-    sol = decode(z, nlp, TimeMap(ocp.t0, ocp.tf), cfg, rep.objective)
+    sol = decode(z, nlp, TimeMap(ocp.t0, ocp.tf), rep.objective)
     return rep, sol, nlp, z
 
 
@@ -386,6 +386,13 @@ def rows_to_csv(rows: Sequence[BenchmarkRow], include_time: bool = True) -> str:
 
 
 def rows_to_json(rows: Sequence[BenchmarkRow], config: Optional[dict] = None) -> str:
-    """JSON mirror of the benchmark table with a config echo for provenance."""
-    payload = {"config": config or {}, "rows": [asdict(r) for r in rows]}
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """Strict-JSON mirror of the benchmark table with a config echo for provenance.
+
+    Non-finite metrics (NaN for quantities a row does not provide) become ``null``.
+    """
+    def finite_or_none(value):
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    payload = {"config": config or {},
+               "rows": [{k: finite_or_none(v) for k, v in asdict(r).items()} for r in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -22,6 +22,7 @@ from .errors import DomainError
 from .nlp import SqpOptions
 from .ocp import academic_problem
 from .polynomial import basis_matrix, lgl_grid, spline_samples
+from .transcription import SplineSolution
 from .vehicle import avp_problem, avp_problem_from_config
 
 EXIT_OK = 0
@@ -83,12 +84,12 @@ def cmd_solve(ns: argparse.Namespace) -> int:
                           "max_eq_residual": rep.max_eq_residual,
                           "max_ineq_violation": rep.max_ineq_violation,
                           "wall_time": rep.wall_time}}
-    if hasattr(sol, "alpha_x"):
+    if isinstance(sol, SplineSolution):
         ts, X, U = sol.sample_dense(ns.samples)
         scan = dense_violation_scan(sol, ocp, ns.samples)
         payload.update({
-            "alpha_x": [a.tolist() for a in sol.alpha_x],
-            "alpha_u": [a.tolist() for a in sol.alpha_u],
+            "alpha_x": sol.alpha_x.tolist(),
+            "alpha_u": sol.alpha_u.tolist(),
             "t": ts.tolist(), "x": X.tolist(), "u": U.tolist(),
             "x_bounds": [b.tolist() for b in sol.x_bounds],
             "u_bounds": [b.tolist() for b in sol.u_bounds],
@@ -144,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_help = "output path (default stdout)"
     samples_help = "dense sample count (at least 1000)"
     config_help = "YAML config file (vehicle/problem sections); --problem avp only"
+    max_iters = SqpOptions.max_iters
 
     p = sub.add_parser("nodes", help="print LGL nodes and weights")
     p.add_argument("--nodes", type=_at_least(2), required=True, metavar="N")
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_at_least(1), help="shorthand for SOCSE-<degree>")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=max_iters, dest="max_iters")
     p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="comma-separated method labels")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=400, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=max_iters, dest="max_iters")
     p.add_argument("--out", help=out_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--skip-reference", action="store_true",

@@ -26,7 +26,7 @@ _RANK_TOL = 1e-10     # |R_kk| / |R_00| below which an equality row is dependent
 
 @dataclass
 class SqpOptions:
-    max_iters: int = 200
+    max_iters: int = 400
     eq_tol: float = 1e-8
     kkt_tol: float = 1e-6
     penalty_growth: float = 2.0

@@ -11,9 +11,6 @@ Two routes are provided:
 * ``transcribe_multiple_shooting`` -- RK4 multiple shooting with
   piecewise-constant controls.
 
-The horizon uses a single spline by default; ``segments > 1`` splits it into
-equal subintervals joined by C0 state-continuity rows.
-
 The stage-cost integral is evaluated as the full quadrature sum over all N
 nodes plus the terminal cost at the right endpoint; the terminal cost is not
 scaled by the time map.
@@ -21,7 +18,7 @@ scaled by the time map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,15 +50,12 @@ class CollocationConfig:
     M: int
     N: Optional[int] = None
     mode: str = "socse"
-    segments: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.M < 1:
             raise ValueError("spline degree must be at least 1")
-        if self.segments < 1:
-            raise ValueError("segments must be at least 1")
         if self.N is None:
             object.__setattr__(self, "N", self.M + 1 if self.mode == "pseudospectral" else self.M)
         if self.N < 2:
@@ -74,57 +68,46 @@ class CollocationConfig:
 
 @dataclass(frozen=True)
 class SplineLayout:
-    """Maps the flat decision vector to per-segment coefficient matrices.
+    """Maps the flat decision vector to the (M+1, n_x) and (M+1, n_u) coefficient matrices.
 
-    Per segment the state channels come first, then the control channels,
-    each as M+1 contiguous Legendre coefficients.
+    The state channels come first, then the control channels, each as M+1
+    contiguous Legendre coefficients.
     """
 
     M: int
     n_x: int
     n_u: int
-    segments: int
 
     @property
     def rows(self) -> int:
         return self.M + 1
 
     @property
-    def block(self) -> int:
+    def n_vars(self) -> int:
         return self.rows * (self.n_x + self.n_u)
 
-    @property
-    def n_vars(self) -> int:
-        return self.segments * self.block
-
-    def x_slice(self, seg: int, channel: int) -> slice:
-        start = seg * self.block + channel * self.rows
+    def x_slice(self, channel: int) -> slice:
+        start = channel * self.rows
         return slice(start, start + self.rows)
 
-    def u_slice(self, seg: int, channel: int) -> slice:
-        start = seg * self.block + (self.n_x + channel) * self.rows
+    def u_slice(self, channel: int) -> slice:
+        start = (self.n_x + channel) * self.rows
         return slice(start, start + self.rows)
 
     def decode(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n_vars,):
             raise LayoutError(f"expected {self.n_vars} variables, got {z.shape}")
-        ax, au = [], []
-        for seg in range(self.segments):
-            blk = z[seg * self.block:(seg + 1) * self.block]
-            ax.append(blk[: self.rows * self.n_x].reshape(self.n_x, self.rows).T.copy())
-            au.append(blk[self.rows * self.n_x:].reshape(self.n_u, self.rows).T.copy())
-        return ax, au
+        split = self.rows * self.n_x
+        return (z[:split].reshape(self.n_x, self.rows).T.copy(),
+                z[split:].reshape(self.n_u, self.rows).T.copy())
 
     def encode(self, alpha_x, alpha_u) -> np.ndarray:
-        z = np.empty(self.n_vars)
-        for seg in range(self.segments):
-            blk = np.concatenate([np.asarray(alpha_x[seg]).T.ravel(),
-                                  np.asarray(alpha_u[seg]).T.ravel()])
-            if blk.size != self.block:
-                raise LayoutError("coefficient matrices do not match the layout")
-            z[seg * self.block:(seg + 1) * self.block] = blk
-        return z
+        alpha_x = np.asarray(alpha_x, dtype=float)
+        alpha_u = np.asarray(alpha_u, dtype=float)
+        if alpha_x.shape != (self.rows, self.n_x) or alpha_u.shape != (self.rows, self.n_u):
+            raise LayoutError("coefficient matrices do not match the layout")
+        return np.concatenate([alpha_x.T.ravel(), alpha_u.T.ravel()])
 
 
 @dataclass(frozen=True)
@@ -169,50 +152,25 @@ class NlpProblem:
 class SplineSolution:
     """Decoded spline trajectory with envelope bounds and dense evaluation."""
 
-    alpha_x: list
-    alpha_u: list
+    alpha_x: np.ndarray      # (M+1, n_x)
+    alpha_u: np.ndarray      # (M+1, n_u)
     time_map: TimeMap
-    cfg: CollocationConfig
     basis: object
     env: EnvelopeMatrices
     objective: Optional[float] = None
-    x_bounds: tuple = None
-    u_bounds: tuple = None
+    x_bounds: tuple = field(init=False)
+    u_bounds: tuple = field(init=False)
 
     def __post_init__(self):
-        los_x, his_x, los_u, his_u = [], [], [], []
-        for ax, au in zip(self.alpha_x, self.alpha_u):
-            lo, hi = spline_bounds(ax, self.env)
-            los_x.append(lo)
-            his_x.append(hi)
-            lo, hi = spline_bounds(au, self.env)
-            los_u.append(lo)
-            his_u.append(hi)
-        self.x_bounds = (np.min(los_x, axis=0), np.max(his_x, axis=0))
-        self.u_bounds = (np.min(los_u, axis=0), np.max(his_u, axis=0))
+        self.x_bounds = spline_bounds(self.alpha_x, self.env)
+        self.u_bounds = spline_bounds(self.alpha_u, self.env)
 
-    def _segment_times(self):
-        edges = np.linspace(self.time_map.t0, self.time_map.tf, self.cfg.segments + 1)
-        return edges
-
-    def _locate(self, t: np.ndarray):
-        edges = self._segment_times()
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, self.cfg.segments - 1)
-        width = edges[1] - edges[0]
-        tau = 2.0 * (t - edges[seg]) / width - 1.0
-        return seg, np.clip(tau, -1.0, 1.0)
-
-    def _eval(self, alphas, t):
+    def _eval(self, alpha, t):
+        """Spline values at physical times; t outside [t0, tf] clamps to the ends."""
+        t0, tf = self.time_map.t0, self.time_map.tf
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        seg, tau = self._locate(t)
-        d = alphas[0].shape[1]
-        out = np.empty((t.size, d))
-        for k in range(self.cfg.segments):
-            mask = seg == k
-            if np.any(mask):
-                out[mask] = spline_samples(alphas[k], self.basis, tau[mask])
-        return out
+        tau = np.clip(2.0 * (t - t0) / (tf - t0) - 1.0, -1.0, 1.0)
+        return spline_samples(alpha, self.basis, tau)
 
     def x_at(self, t) -> np.ndarray:
         """Dense state evaluation in physical time; (len(t), n_x)."""
@@ -236,12 +194,11 @@ def _check_dof(ocp: OcpProblem, cfg: CollocationConfig):
 def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     """Collocation NLP; box rows are envelope rows or node rows by ``cfg.mode``."""
     _check_dof(ocp, cfg)
-    layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u, segments=cfg.segments)
+    layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u)
     basis = basis_matrix(cfg.M)
     grid = lgl_grid(cfg.N)
     env = envelope_matrix(cfg.M, basis)
-    S = cfg.segments
-    scale = 0.5 * (ocp.tf - ocp.t0) / S
+    scale = 0.5 * (ocp.tf - ocp.t0)
 
     phi_nodes = np.stack([legendre_values(basis, t) for t in grid.nodes])       # (N, M+1)
     dphi_nodes = np.stack([legendre_deriv_values(basis, t) for t in grid.nodes])
@@ -249,84 +206,68 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     phi_end = legendre_values(basis, 1.0)
     w = grid.weights
 
-    n_x, n_u, rows = ocp.n_x, ocp.n_u, cfg.M + 1
-
-    def unpack(z):
-        return layout.decode(z)
+    n_x, n_u = ocp.n_x, ocp.n_u
+    channels = [layout.x_slice(c) for c in range(n_x)] + [layout.u_slice(c) for c in range(n_u)]
 
     def node_values(ax, au):
         return phi_nodes @ ax, phi_nodes @ au   # (N, n_x), (N, n_u)
 
     def objective(z):
-        ax, au = unpack(z)
-        total = 0.0
-        for seg in range(S):
-            X, U = node_values(ax[seg], au[seg])
-            stage = np.array([ocp.stage_cost(X[i], U[i]) for i in range(cfg.N)])
-            total += scale * float(w @ stage)
+        ax, au = layout.decode(z)
+        X, U = node_values(ax, au)
+        stage = np.array([ocp.stage_cost(X[i], U[i]) for i in range(cfg.N)])
+        total = scale * float(w @ stage)
         if ocp.terminal_cost is not None:
-            total += float(ocp.terminal_cost(phi_end @ ax[-1]))
+            total += float(ocp.terminal_cost(phi_end @ ax))
         return total
 
     gradient = None
     if ocp.stage_cost_grad is not None and (
             ocp.terminal_cost is None or ocp.terminal_cost_grad is not None):
         def gradient(z):
-            ax, au = unpack(z)
+            ax, au = layout.decode(z)
+            X, U = node_values(ax, au)
+            gx_nodes = np.zeros((cfg.N, n_x))
+            gu_nodes = np.zeros((cfg.N, n_u))
+            for i in range(cfg.N):
+                gx_nodes[i], gu_nodes[i] = ocp.stage_cost_grad(X[i], U[i])
             g = np.zeros(layout.n_vars)
-            for seg in range(S):
-                X, U = node_values(ax[seg], au[seg])
-                gx_nodes = np.zeros((cfg.N, n_x))
-                gu_nodes = np.zeros((cfg.N, n_u))
-                for i in range(cfg.N):
-                    lx, lu = ocp.stage_cost_grad(X[i], U[i])
-                    gx_nodes[i] = lx
-                    gu_nodes[i] = lu
-                for c in range(n_x):
-                    g[layout.x_slice(seg, c)] += scale * (phi_nodes.T @ (w * gx_nodes[:, c]))
-                for c in range(n_u):
-                    g[layout.u_slice(seg, c)] += scale * (phi_nodes.T @ (w * gu_nodes[:, c]))
+            for c in range(n_x):
+                g[layout.x_slice(c)] += scale * (phi_nodes.T @ (w * gx_nodes[:, c]))
+            for c in range(n_u):
+                g[layout.u_slice(c)] += scale * (phi_nodes.T @ (w * gu_nodes[:, c]))
             if ocp.terminal_cost is not None:
-                gphi = ocp.terminal_cost_grad(phi_end @ ax[-1])
+                gphi = ocp.terminal_cost_grad(phi_end @ ax)
                 for c in range(n_x):
-                    g[layout.x_slice(S - 1, c)] += gphi[c] * phi_end
+                    g[layout.x_slice(c)] += gphi[c] * phi_end
             return g
 
     hessian = None
     if ocp.stage_cost_hess is not None and ocp.terminal_cost is None:
         def hessian(z):
-            ax, au = unpack(z)
+            ax, au = layout.decode(z)
+            X, U = node_values(ax, au)
             H = np.zeros((layout.n_vars, layout.n_vars))
-            for seg in range(S):
-                X, U = node_values(ax[seg], au[seg])
-                sl = [layout.x_slice(seg, c) for c in range(n_x)]
-                sl += [layout.u_slice(seg, c) for c in range(n_u)]
-                for i in range(cfg.N):
-                    lxx, lxu, luu = ocp.stage_cost_hess(X[i], U[i])
-                    Hl = np.block([[lxx, lxu], [lxu.T, luu]])
-                    op = scale * w[i] * np.outer(phi_nodes[i], phi_nodes[i])
-                    for a in range(n_x + n_u):
-                        for b in range(n_x + n_u):
-                            if Hl[a, b] != 0.0:
-                                H[sl[a], sl[b]] += Hl[a, b] * op
+            for i in range(cfg.N):
+                lxx, lxu, luu = ocp.stage_cost_hess(X[i], U[i])
+                Hl = np.block([[lxx, lxu], [lxu.T, luu]])
+                op = scale * w[i] * np.outer(phi_nodes[i], phi_nodes[i])
+                for a in range(n_x + n_u):
+                    for b in range(n_x + n_u):
+                        if Hl[a, b] != 0.0:
+                            H[channels[a], channels[b]] += Hl[a, b] * op
             return H
 
-    n_eq = n_x * (1 + S * cfg.N + (S - 1))
+    n_eq = n_x * (1 + cfg.N)
 
     def eq_fun(z):
-        ax, au = unpack(z)
+        ax, au = layout.decode(z)
+        X, U = node_values(ax, au)
+        dX = dphi_nodes @ ax
         out = np.empty(n_eq)
-        out[:n_x] = phi_start @ ax[0] - ocp.x0
-        pos = n_x
-        for seg in range(S):
-            X, U = node_values(ax[seg], au[seg])
-            dX = dphi_nodes @ ax[seg]
-            for i in range(cfg.N):
-                out[pos:pos + n_x] = dX[i] - scale * ocp.dynamics(X[i], U[i])
-                pos += n_x
-            if seg < S - 1:
-                out[pos:pos + n_x] = phi_end @ ax[seg] - phi_start @ ax[seg + 1]
-                pos += n_x
+        out[:n_x] = phi_start @ ax - ocp.x0
+        for i in range(cfg.N):
+            out[n_x * (i + 1):n_x * (i + 2)] = dX[i] - scale * ocp.dynamics(X[i], U[i])
         return out
 
     eq_jac = None
@@ -334,58 +275,37 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
         fx_fun, fu_fun = ocp.dynamics_jacobians
 
         def eq_jac(z):
-            ax, au = unpack(z)
+            ax, au = layout.decode(z)
+            X, U = node_values(ax, au)
             J = np.zeros((n_eq, layout.n_vars))
             for c in range(n_x):
-                J[c, layout.x_slice(0, c)] = phi_start
-            pos = n_x
-            for seg in range(S):
-                X, U = node_values(ax[seg], au[seg])
-                for i in range(cfg.N):
-                    fx = fx_fun(X[i], U[i])
-                    fu = fu_fun(X[i], U[i])
-                    for r in range(n_x):
-                        J[pos + r, layout.x_slice(seg, r)] += dphi_nodes[i]
-                        for c in range(n_x):
-                            J[pos + r, layout.x_slice(seg, c)] -= scale * fx[r, c] * phi_nodes[i]
-                        for c in range(n_u):
-                            J[pos + r, layout.u_slice(seg, c)] -= scale * fu[r, c] * phi_nodes[i]
-                    pos += n_x
-                if seg < S - 1:
+                J[c, layout.x_slice(c)] = phi_start
+            for i in range(cfg.N):
+                fx = fx_fun(X[i], U[i])
+                fu = fu_fun(X[i], U[i])
+                pos = n_x * (i + 1)
+                for r in range(n_x):
+                    J[pos + r, layout.x_slice(r)] += dphi_nodes[i]
                     for c in range(n_x):
-                        J[pos + c, layout.x_slice(seg, c)] = phi_end
-                        J[pos + c, layout.x_slice(seg + 1, c)] = -phi_start
-                    pos += n_x
+                        J[pos + r, layout.x_slice(c)] -= scale * fx[r, c] * phi_nodes[i]
+                    for c in range(n_u):
+                        J[pos + r, layout.u_slice(c)] -= scale * fu[r, c] * phi_nodes[i]
             return J
 
     # Linear inequality rows: envelope per channel (socse) or node values (soc).
-    if cfg.node_only:
-        m_rows = S * cfg.N * (n_x + n_u)
-    else:
-        m_rows = S * rows * (n_x + n_u)
-    A = np.zeros((m_rows, layout.n_vars))
-    lo = np.empty(m_rows)
-    hi = np.empty(m_rows)
-    pos = 0
-    for seg in range(S):
-        for c in range(n_x):
-            blk = phi_nodes if cfg.node_only else env.C
-            A[pos:pos + blk.shape[0], layout.x_slice(seg, c)] = blk
-            lo[pos:pos + blk.shape[0]] = ocp.x_lower[c]
-            hi[pos:pos + blk.shape[0]] = ocp.x_upper[c]
-            pos += blk.shape[0]
-        for c in range(n_u):
-            blk = phi_nodes if cfg.node_only else env.C
-            A[pos:pos + blk.shape[0], layout.u_slice(seg, c)] = blk
-            lo[pos:pos + blk.shape[0]] = ocp.u_lower[c]
-            hi[pos:pos + blk.shape[0]] = ocp.u_upper[c]
-            pos += blk.shape[0]
+    blk = phi_nodes if cfg.node_only else env.C
+    k = blk.shape[0]
+    A = np.zeros((k * len(channels), layout.n_vars))
+    for j, cols in enumerate(channels):
+        A[j * k:(j + 1) * k, cols] = blk
+    lo = np.repeat(np.concatenate([ocp.x_lower, ocp.u_lower]), k)
+    hi = np.repeat(np.concatenate([ocp.x_upper, ocp.u_upper]), k)
 
     ineq_fun = ineq_jac = None
     if ocp.terminal_constraint is not None:
         def ineq_fun(z):
-            ax, _ = unpack(z)
-            return np.atleast_1d(ocp.terminal_constraint(phi_end @ ax[-1]))
+            ax, _ = layout.decode(z)
+            return np.atleast_1d(ocp.terminal_constraint(phi_end @ ax))
 
     return NlpProblem(
         n_vars=layout.n_vars,
@@ -522,19 +442,18 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
 
 
 def decode(z: np.ndarray, nlp: NlpProblem, time_map: TimeMap,
-           cfg: CollocationConfig, objective: Optional[float] = None) -> SplineSolution:
+           objective: Optional[float] = None) -> SplineSolution:
     """Unpack a collocation NLP solution into an evaluable spline trajectory."""
     layout = nlp.layout
     if not isinstance(layout, SplineLayout):
         raise LayoutError("decode expects a collocation NLP")
     alpha_x, alpha_u = layout.decode(z)
-    basis = basis_matrix(cfg.M)
+    basis = basis_matrix(layout.M)
     return SplineSolution(
         alpha_x=alpha_x,
         alpha_u=alpha_u,
         time_map=time_map,
-        cfg=cfg,
         basis=basis,
-        env=envelope_matrix(cfg.M, basis),
+        env=envelope_matrix(layout.M, basis),
         objective=objective if objective is not None else nlp.objective(z),
     )

@@ -190,17 +190,28 @@ def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
     return np.asarray(f_fun(*x, *u, kap, p.fusion_lambda), dtype=float).ravel()
 
 
-def vehicle_jacobians(x, u, p: VehicleParams):
-    """Analytic (df/dx, df/du), with the curvature s-dependence chained in."""
+def vehicle_jacobian_x(x, u, p: VehicleParams) -> np.ndarray:
+    """Analytic df/dx, with the curvature s-dependence chained in."""
     x, u, kap = _model_args(x, u, p)
-    _, jx_fun, ju_fun, fk_fun = _build_model(p._model_key())
+    _, jx_fun, _, fk_fun = _build_model(p._model_key())
     args = (*x, *u, kap, p.fusion_lambda)
     jx = np.asarray(jx_fun(*args), dtype=float)
-    ju = np.asarray(ju_fun(*args), dtype=float)
     dk = p.dkappa_at(float(x[3]))
     if dk != 0.0:
         jx[:, 3] += np.asarray(fk_fun(*args), dtype=float).ravel() * dk
-    return jx, ju
+    return jx
+
+
+def vehicle_jacobian_u(x, u, p: VehicleParams) -> np.ndarray:
+    """Analytic df/du."""
+    x, u, kap = _model_args(x, u, p)
+    _, _, ju_fun, _ = _build_model(p._model_key())
+    return np.asarray(ju_fun(*x, *u, kap, p.fusion_lambda), dtype=float)
+
+
+def vehicle_jacobians(x, u, p: VehicleParams):
+    """Analytic (df/dx, df/du), with the curvature s-dependence chained in."""
+    return vehicle_jacobian_x(x, u, p), vehicle_jacobian_u(x, u, p)
 
 
 def avp_stage_cost(x, u, x_ref, p: VehicleParams) -> float:
@@ -289,8 +300,8 @@ def avp_problem(p: Optional[VehicleParams] = None, t0: float = 0.0, tf: float = 
         t0=t0,
         tf=tf,
         dynamics_jacobians=(
-            lambda x, u: vehicle_jacobians(x, u, p)[0],
-            lambda x, u: vehicle_jacobians(x, u, p)[1],
+            lambda x, u: vehicle_jacobian_x(x, u, p),
+            lambda x, u: vehicle_jacobian_u(x, u, p),
         ),
         stage_cost_grad=lambda x, u: avp_stage_cost_grad(x, u, x_ref, p),
         stage_cost_hess=lambda x, u: avp_stage_cost_hess(x, u, x_ref, p),

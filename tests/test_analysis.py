@@ -15,7 +15,7 @@ from socenv.envelope import envelope_matrix
 from socenv.nlp import SqpOptions
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap, basis_matrix, lgl_grid, spline_samples
-from socenv.transcription import CollocationConfig, SplineSolution
+from socenv.transcription import SplineSolution
 
 
 def lq_unconstrained():
@@ -56,8 +56,7 @@ def fit_spline(fun, M, time_map):
 def make_solution(alpha_x, alpha_u, M, time_map):
     basis = basis_matrix(M)
     return SplineSolution(
-        alpha_x=[alpha_x], alpha_u=[alpha_u], time_map=time_map,
-        cfg=CollocationConfig(M=M), basis=basis,
+        alpha_x=alpha_x, alpha_u=alpha_u, time_map=time_map, basis=basis,
         env=envelope_matrix(M, basis), objective=0.0)
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from socenv import analysis
-from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
+from socenv.nlp import SqpOptions
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml")
 
@@ -87,7 +88,8 @@ class TestSolve:
         assert payload["report"]["status"] == "converged"
         assert payload["method"] == "SOCSE-8"
         assert payload["max_violation"] <= 1e-6
-        assert len(payload["alpha_x"][0]) == 9
+        assert np.shape(payload["alpha_x"]) == (9, 1)   # (M+1, n_x)
+        assert np.shape(payload["alpha_u"]) == (9, 1)
         # Dense samples respect the box up to the scan tolerance.
         U = np.array(payload["u"])
         assert np.all(U >= -0.3 - 1e-6) and np.all(U <= -0.1 + 1e-6)
@@ -156,9 +158,12 @@ class TestBench:
         code, out, _ = run(capsys, ["bench", "--problem", "academic", "--method", "MS-4",
                                     "--skip-reference", "--format", "json"])
         assert code == EXIT_OK
-        row = json.loads(out)["rows"][0]
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        row = json.loads(out, parse_constant=reject)["rows"][0]
         assert row["status"] == "converged"
-        assert math.isnan(row["cost_dev_pct"]) and math.isnan(row["ctrl_dev"])
+        assert row["cost_dev_pct"] is None and row["ctrl_dev"] is None
         assert math.isfinite(row["ode_err"])
 
     def test_bad_method_list_is_usage_error(self, capsys):
@@ -176,6 +181,12 @@ class TestParser:
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    def test_max_iters_default_is_the_solver_default(self):
+        parser = build_parser()
+        for sub in ("solve", "bench"):
+            ns = parser.parse_args([sub, "--problem", "academic"])
+            assert ns.max_iters == SqpOptions().max_iters
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "academic", "--format", "csv"],

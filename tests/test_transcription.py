@@ -6,6 +6,7 @@ import pytest
 from socenv.errors import DofViolationError, LayoutError
 from socenv.nlp import fd_gradient, fd_jacobian
 from socenv.ocp import OcpProblem, academic_problem
+from socenv.analysis import solve_method
 from socenv.polynomial import TimeMap
 from socenv.transcription import (CollocationConfig, decode, transcribe,
                                   transcribe_multiple_shooting)
@@ -34,8 +35,6 @@ class TestConfig:
             CollocationConfig(M=3, mode="galerkin")
         with pytest.raises(ValueError):
             CollocationConfig(M=0)
-        with pytest.raises(ValueError):
-            CollocationConfig(M=3, segments=0)
 
 
 class TestDimensions:
@@ -57,14 +56,6 @@ class TestDimensions:
             transcribe(academic_problem(), CollocationConfig(M=3, N=8))
         assert exc.value.free_coeffs == 8    # (1 + 1) * (3 + 1)
         assert exc.value.eq_rows == 9        # 1 * (8 + 1)
-
-    def test_multi_segment_counts(self):
-        cfg = CollocationConfig(M=5, N=5, segments=3)
-        nlp = transcribe(academic_problem(), cfg)
-        assert nlp.n_vars == 3 * 2 * 6
-        # initial condition + 3*5 collocation rows + 2 continuity rows
-        assert nlp.n_eq == 1 + 15 + 2
-        assert nlp.A_ineq.shape[0] == 3 * 6 * 2
 
 
 class TestDerivatives:
@@ -91,13 +82,6 @@ class TestDerivatives:
         np.testing.assert_allclose(nlp.hessian(z),
                                    fd_jacobian(nlp.gradient, z, 1e-6), atol=1e-5)
 
-    def test_multi_segment_jacobian_matches_fd(self):
-        nlp = transcribe(academic_problem(), CollocationConfig(M=4, segments=2))
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal(nlp.n_vars)
-        np.testing.assert_allclose(nlp.eq_jac(z),
-                                   fd_jacobian(nlp.eq_fun, z, 1e-6), atol=1e-6)
-
 
 class TestObjectiveQuadrature:
     def test_matches_dense_integral_for_polynomial_cost(self):
@@ -105,8 +89,7 @@ class TestObjectiveQuadrature:
         nlp = transcribe(academic_problem(), CollocationConfig(M=5, N=8))
         rng = np.random.default_rng(4)
         z = rng.standard_normal(nlp.n_vars)
-        ax, au = nlp.layout.decode(z)
-        sol = decode(z, nlp, TimeMap(0.0, 1.0), CollocationConfig(M=5, N=8))
+        sol = decode(z, nlp, TimeMap(0.0, 1.0))
         ts = np.linspace(0.0, 1.0, 20001)
         X, U = sol.x_at(ts), sol.u_at(ts)
         vals = 0.5 * (X[:, 0] ** 2 + U[:, 0] ** 2)
@@ -118,30 +101,18 @@ class TestInitialAndContinuityRows:
     def test_initial_condition_row(self):
         nlp = transcribe(academic_problem(), CollocationConfig(M=5))
         # alpha_x = e0 makes the state identically 1.0 = x0.
-        ax = [np.zeros((6, 1))]
-        ax[0][0, 0] = 1.0
-        au = [np.zeros((6, 1))]
-        z = nlp.layout.encode(ax, au)
+        ax = np.zeros((6, 1))
+        ax[0, 0] = 1.0
+        z = nlp.layout.encode(ax, np.zeros((6, 1)))
         assert nlp.eq_fun(z)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_dynamics_collocation_residual_zero(self):
         ocp = constant_problem(0.7)
         nlp = transcribe(ocp, CollocationConfig(M=4))
-        ax = [np.zeros((5, 1))]
-        ax[0][0, 0] = 0.7
-        au = [np.zeros((5, 1))]
-        z = nlp.layout.encode(ax, au)
+        ax = np.zeros((5, 1))
+        ax[0, 0] = 0.7
+        z = nlp.layout.encode(ax, np.zeros((5, 1)))
         np.testing.assert_allclose(nlp.eq_fun(z), 0.0, atol=1e-14)
-
-    def test_continuity_row_detects_jump(self):
-        ocp = constant_problem(0.0)
-        nlp = transcribe(ocp, CollocationConfig(M=3, segments=2))
-        ax = [np.zeros((4, 1)), np.zeros((4, 1))]
-        ax[1][0, 0] = 0.5   # second segment offset by 0.5
-        au = [np.zeros((4, 1)), np.zeros((4, 1))]
-        z = nlp.layout.encode(ax, au)
-        r = nlp.eq_fun(z)
-        assert np.max(np.abs(r)) == pytest.approx(0.5)
 
 
 class TestDecode:
@@ -150,6 +121,7 @@ class TestDecode:
         rng = np.random.default_rng(5)
         z = rng.standard_normal(nlp.n_vars)
         ax, au = nlp.layout.decode(z)
+        assert ax.shape == (7, 1) and au.shape == (7, 1)
         np.testing.assert_allclose(nlp.layout.encode(ax, au), z, atol=0.0)
 
     def test_layout_mismatch(self):
@@ -157,37 +129,40 @@ class TestDecode:
         with pytest.raises(LayoutError):
             nlp.layout.decode(np.zeros(nlp.n_vars + 1))
         with pytest.raises(LayoutError):
+            nlp.layout.encode(np.zeros((7, 1)), np.zeros((6, 1)))
+        with pytest.raises(LayoutError):
             decode(np.zeros(3),
                    transcribe_multiple_shooting(academic_problem(), 1),
-                   TimeMap(0.0, 1.0), CollocationConfig(M=6))
+                   TimeMap(0.0, 1.0))
 
     def test_solution_evaluation_and_bounds(self):
         cfg = CollocationConfig(M=4)
         nlp = transcribe(constant_problem(0.7), cfg)
-        ax = [np.zeros((5, 1))]
-        ax[0][0, 0] = 0.7
-        au = [np.zeros((5, 1))]
-        z = nlp.layout.encode(ax, au)
-        sol = decode(z, nlp, TimeMap(0.0, 1.0), cfg)
+        ax = np.zeros((5, 1))
+        ax[0, 0] = 0.7
+        z = nlp.layout.encode(ax, np.zeros((5, 1)))
+        sol = decode(z, nlp, TimeMap(0.0, 1.0))
         np.testing.assert_allclose(sol.x_at(np.linspace(0, 1, 7)), 0.7, atol=1e-14)
         lo, hi = sol.x_bounds
         assert lo[0] == pytest.approx(0.7) and hi[0] == pytest.approx(0.7)
         assert sol.objective == pytest.approx(0.0)
 
-    def test_multi_segment_evaluation_is_continuous(self):
-        cfg = CollocationConfig(M=3, segments=2)
-        nlp = transcribe(academic_problem(), cfg)
-        rng = np.random.default_rng(6)
-        ax = [rng.standard_normal((4, 1)) for _ in range(2)]
-        # Force C0 continuity: segment-1 value at tau=-1 equals segment-0 at +1.
-        ax[1][0, 0] += float(np.sum(ax[0])) - float(
-            ax[1][0, 0] - ax[1][1, 0] + ax[1][2, 0] - ax[1][3, 0])
-        au = [rng.standard_normal((4, 1)) for _ in range(2)]
-        z = nlp.layout.encode(ax, au)
-        sol = decode(z, nlp, TimeMap(0.0, 2.0), cfg)
-        left = sol.x_at(np.array([1.0 - 1e-9]))[0, 0]
-        right = sol.x_at(np.array([1.0 + 1e-9]))[0, 0]
-        assert left == pytest.approx(right, abs=1e-6)
+    def test_scalar_evaluation_matches_vectorised(self):
+        ocp = academic_problem()
+        _, sol, _, _ = solve_method(ocp, "SOCSE-5")
+        ts = np.array([ocp.t0, 0.37, ocp.tf])
+        X, U = sol.x_at(ts), sol.u_at(ts)
+        for i, t in enumerate(ts):
+            x, u = sol.x_at(float(t)), sol.u_at(float(t))
+            assert x.shape == (1, 1) and u.shape == (1, 1)
+            np.testing.assert_array_equal(x, sol.x_at(ts[i:i + 1]))
+            np.testing.assert_array_equal(u, sol.u_at(ts[i:i + 1]))
+            # A one-row BLAS product may round differently from an n-row one.
+            np.testing.assert_allclose(x, X[i:i + 1], rtol=0.0, atol=4 * np.finfo(float).eps)
+            np.testing.assert_allclose(u, U[i:i + 1], rtol=0.0, atol=4 * np.finfo(float).eps)
+        # Times just past tf clamp to the end of the spline, which the
+        # rollout's min(t, tf) relies on.
+        np.testing.assert_array_equal(sol.x_at(ocp.tf + 1e-13), sol.x_at(ocp.tf))
 
 
 class TestMultipleShooting:

@@ -106,6 +106,23 @@ class TestJacobians:
         fd = (vehicle_dynamics(x + e, u, p) - vehicle_dynamics(x - e, u, p)) / (2 * h)
         np.testing.assert_allclose(jx[:, 3], fd, atol=1e-5)
 
+    def test_problem_callbacks_on_curved_track(self):
+        """The OCP's separate df/dx and df/du callbacks match and keep the guard."""
+        p = VehicleParams(curvature=lambda s: 0.05 * s,
+                          curvature_deriv=lambda s: 0.05)
+        fx_fun, fu_fun = avp_problem(p).dynamics_jacobians
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-0.3, 0.3, N_STATES)
+        x[0], x[3] = 2.0, 1.5
+        u = rng.uniform(-0.3, 0.3, N_INPUTS)
+        jx, ju = vehicle_jacobians(x, u, p)
+        np.testing.assert_array_equal(fx_fun(x, u), jx)
+        np.testing.assert_array_equal(fu_fun(x, u), ju)
+        x[4] = 1.0 / (0.05 * x[3])   # 1 - kappa*w = 0
+        for fun in (fx_fun, fu_fun):
+            with pytest.raises(SingularCurvilinearError):
+                fun(x, u)
+
 
 class TestStageCost:
     def test_zero_at_reference(self):
