@@ -320,9 +320,9 @@ def solve_method(ocp: OcpProblem, label: str, opts: Optional[SqpOptions] = None)
     return rep, sol, nlp, z
 
 
-def run_benchmark(ocp: OcpProblem, methods: Sequence[str],
+def run_benchmark(ocp: OcpProblem, methods: Sequence[str], samples: int,
                   reference: Optional[ReferenceTrajectory] = None,
-                  opts: Optional[SqpOptions] = None, samples: int = 10000,
+                  opts: Optional[SqpOptions] = None,
                   skip_reference: bool = False) -> list:
     """Run each method against the shared reference; failures fill a row too.
 

@@ -36,7 +36,6 @@ class SqpOptions:
     max_backtracks: int = 30
     h0: float = 1.0
     gn_floor: float = 1e-2   # eigenvalue floor applied to a supplied objective Hessian
-    record_iterates: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.ls_backtrack < 1.0:
@@ -48,14 +47,18 @@ class SqpOptions:
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve_sqp`` with the final multiplier estimates for certificate checks."""
+
     status: str
     iterations: int
     objective: float
     max_eq_residual: float
     max_ineq_violation: float
     wall_time: float
-    relaxed_qp_steps: int = 0
-    iterates: Optional[list] = None
+    relaxed_qp_steps: int
+    lam_eq: np.ndarray       # equality rows
+    mu_lin: np.ndarray       # linear inequality rows
+    mu_nl: np.ndarray        # nonlinear inequality rows (empty without them)
 
 
 @dataclass
@@ -345,11 +348,7 @@ def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None,
 
 
 def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
-    """Solve the NLP from z0; returns (z, SolveReport).
-
-    The report also exposes the final multiplier estimates as attributes
-    ``lam_eq``, ``mu_lin`` and ``mu_nl`` for certificate checks.
-    """
+    """Solve the NLP from z0; returns (z, SolveReport)."""
     opts = opts or SqpOptions()
     t_start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
@@ -385,7 +384,6 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
     relaxed = 0
-    iterates = [z.copy()] if opts.record_iterates else None
     status = "max_iters"
     iters_done = 0
     did_reset = False
@@ -537,10 +535,7 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
 
         z, f, g, c, J = z_try, f_try, g_new, c_try, J_new
         t_vals, Jt = t_try, Jt_new
-        if iterates is not None:
-            iterates.append(z.copy())
 
-    feas = feasibility(z, c, t_vals)
     report = SolveReport(
         status=status,
         iterations=iters_done,
@@ -553,9 +548,8 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
         ),
         wall_time=time.perf_counter() - t_start,
         relaxed_qp_steps=relaxed,
-        iterates=iterates,
+        lam_eq=lam,
+        mu_lin=nu_lin,
+        mu_nl=nu_nl,
     )
-    report.lam_eq = lam
-    report.mu_lin = nu_lin
-    report.mu_nl = nu_nl
     return z, report

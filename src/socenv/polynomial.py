@@ -80,11 +80,8 @@ class TimeMap:
         if not self.tf > self.t0:
             raise ValueError(f"tf must exceed t0, got [{self.t0}, {self.tf}]")
 
-    def to_physical(self, tau):
-        return 0.5 * (self.tf - self.t0) * np.asarray(tau) + 0.5 * (self.tf + self.t0)
-
     def to_reference(self, t):
-        return (2.0 * np.asarray(t) - (self.tf + self.t0)) / (self.tf - self.t0)
+        return 2.0 * (np.asarray(t) - self.t0) / (self.tf - self.t0) - 1.0
 
     def scale(self) -> float:
         """d(t)/d(tau): multiplies reference-time integrals and divides derivatives."""

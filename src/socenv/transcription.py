@@ -86,14 +86,6 @@ class SplineLayout:
     def n_vars(self) -> int:
         return self.rows * (self.n_x + self.n_u)
 
-    def x_slice(self, channel: int) -> slice:
-        start = channel * self.rows
-        return slice(start, start + self.rows)
-
-    def u_slice(self, channel: int) -> slice:
-        start = (self.n_x + channel) * self.rows
-        return slice(start, start + self.rows)
-
     def decode(self, z: np.ndarray):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n_vars,):
@@ -167,9 +159,8 @@ class SplineSolution:
 
     def _eval(self, alpha, t):
         """Spline values at physical times; t outside [t0, tf] clamps to the ends."""
-        t0, tf = self.time_map.t0, self.time_map.tf
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        tau = np.clip(2.0 * (t - t0) / (tf - t0) - 1.0, -1.0, 1.0)
+        tau = np.clip(self.time_map.to_reference(t), -1.0, 1.0)
         return spline_samples(alpha, self.basis, tau)
 
     def x_at(self, t) -> np.ndarray:
@@ -192,112 +183,84 @@ def _check_dof(ocp: OcpProblem, cfg: CollocationConfig):
 
 
 def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
-    """Collocation NLP; box rows are envelope rows or node rows by ``cfg.mode``."""
+    """Collocation NLP; box rows are envelope rows or node rows by ``cfg.mode``.
+
+    Each collocation row is a node's basis row times the model's derivative,
+    so the Jacobian, the Hessian and the box rows are Kronecker products of
+    the basis tables with stacked model derivatives, and the OCP callbacks
+    are the only per-node work.
+    """
     _check_dof(ocp, cfg)
     layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u)
     basis = basis_matrix(cfg.M)
     grid = lgl_grid(cfg.N)
     env = envelope_matrix(cfg.M, basis)
-    scale = 0.5 * (ocp.tf - ocp.t0)
+    scale = TimeMap(ocp.t0, ocp.tf).scale()
 
+    # LGL grids contain tau = -1 and +1, so rows 0 and N-1 are the endpoint values.
     phi_nodes = np.stack([legendre_values(basis, t) for t in grid.nodes])       # (N, M+1)
     dphi_nodes = np.stack([legendre_deriv_values(basis, t) for t in grid.nodes])
-    phi_start = legendre_values(basis, -1.0)
-    phi_end = legendre_values(basis, 1.0)
     w = grid.weights
 
-    n_x, n_u = ocp.n_x, ocp.n_u
-    channels = [layout.x_slice(c) for c in range(n_x)] + [layout.u_slice(c) for c in range(n_u)]
+    n_x, n_c = ocp.n_x, ocp.n_x + ocp.n_u
 
-    def node_values(ax, au):
-        return phi_nodes @ ax, phi_nodes @ au   # (N, n_x), (N, n_u)
+    def node_values(z):
+        ax, au = layout.decode(z)
+        return ax, phi_nodes @ ax, phi_nodes @ au   # (M+1, n_x), (N, n_x), (N, n_u)
 
     def objective(z):
-        ax, au = layout.decode(z)
-        X, U = node_values(ax, au)
-        stage = np.array([ocp.stage_cost(X[i], U[i]) for i in range(cfg.N)])
+        ax, X, U = node_values(z)
+        stage = np.array([ocp.stage_cost(x, u) for x, u in zip(X, U)])
         total = scale * float(w @ stage)
         if ocp.terminal_cost is not None:
-            total += float(ocp.terminal_cost(phi_end @ ax))
+            total += float(ocp.terminal_cost(phi_nodes[-1] @ ax))
         return total
 
     gradient = None
     if ocp.stage_cost_grad is not None and (
             ocp.terminal_cost is None or ocp.terminal_cost_grad is not None):
         def gradient(z):
-            ax, au = layout.decode(z)
-            X, U = node_values(ax, au)
-            gx_nodes = np.zeros((cfg.N, n_x))
-            gu_nodes = np.zeros((cfg.N, n_u))
-            for i in range(cfg.N):
-                gx_nodes[i], gu_nodes[i] = ocp.stage_cost_grad(X[i], U[i])
-            g = np.zeros(layout.n_vars)
-            for c in range(n_x):
-                g[layout.x_slice(c)] += scale * (phi_nodes.T @ (w * gx_nodes[:, c]))
-            for c in range(n_u):
-                g[layout.u_slice(c)] += scale * (phi_nodes.T @ (w * gu_nodes[:, c]))
+            ax, X, U = node_values(z)
+            G = np.array([np.concatenate(ocp.stage_cost_grad(x, u)) for x, u in zip(X, U)])
+            g = scale * (phi_nodes.T @ (w[:, None] * G)).T.ravel()
             if ocp.terminal_cost is not None:
-                gphi = ocp.terminal_cost_grad(phi_end @ ax)
-                for c in range(n_x):
-                    g[layout.x_slice(c)] += gphi[c] * phi_end
+                gphi = ocp.terminal_cost_grad(phi_nodes[-1] @ ax)
+                g[:n_x * layout.rows] += np.outer(gphi, phi_nodes[-1]).ravel()
             return g
 
     hessian = None
     if ocp.stage_cost_hess is not None and ocp.terminal_cost is None:
         def hessian(z):
-            ax, au = layout.decode(z)
-            X, U = node_values(ax, au)
-            H = np.zeros((layout.n_vars, layout.n_vars))
-            for i in range(cfg.N):
-                lxx, lxu, luu = ocp.stage_cost_hess(X[i], U[i])
-                Hl = np.block([[lxx, lxu], [lxu.T, luu]])
-                op = scale * w[i] * np.outer(phi_nodes[i], phi_nodes[i])
-                for a in range(n_x + n_u):
-                    for b in range(n_x + n_u):
-                        if Hl[a, b] != 0.0:
-                            H[channels[a], channels[b]] += Hl[a, b] * op
-            return H
+            _, X, U = node_values(z)
+            Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
+                           for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
+            H = np.einsum("i,iab,ik,il->akbl", scale * w, Hl, phi_nodes, phi_nodes)
+            return H.reshape(layout.n_vars, layout.n_vars)
 
     n_eq = n_x * (1 + cfg.N)
 
     def eq_fun(z):
-        ax, au = layout.decode(z)
-        X, U = node_values(ax, au)
-        dX = dphi_nodes @ ax
-        out = np.empty(n_eq)
-        out[:n_x] = phi_start @ ax - ocp.x0
-        for i in range(cfg.N):
-            out[n_x * (i + 1):n_x * (i + 2)] = dX[i] - scale * ocp.dynamics(X[i], U[i])
-        return out
+        ax, X, U = node_values(z)
+        F = np.array([ocp.dynamics(x, u) for x, u in zip(X, U)])
+        return np.concatenate([phi_nodes[0] @ ax - ocp.x0, (dphi_nodes @ ax - scale * F).ravel()])
 
     eq_jac = None
     if ocp.dynamics_jacobians is not None:
         fx_fun, fu_fun = ocp.dynamics_jacobians
+        eye = np.eye(n_x, n_c)
+        J_start = np.kron(eye, phi_nodes[0])
+        dX_dz = eye[None, :, :, None] * dphi_nodes[:, None, None, :]   # (N, n_x, n_c, M+1)
 
         def eq_jac(z):
-            ax, au = layout.decode(z)
-            X, U = node_values(ax, au)
-            J = np.zeros((n_eq, layout.n_vars))
-            for c in range(n_x):
-                J[c, layout.x_slice(c)] = phi_start
-            for i in range(cfg.N):
-                fx = fx_fun(X[i], U[i])
-                fu = fu_fun(X[i], U[i])
-                pos = n_x * (i + 1)
-                for r in range(n_x):
-                    J[pos + r, layout.x_slice(r)] += dphi_nodes[i]
-                    for c in range(n_x):
-                        J[pos + r, layout.x_slice(c)] -= scale * fx[r, c] * phi_nodes[i]
-                    for c in range(n_u):
-                        J[pos + r, layout.u_slice(c)] -= scale * fu[r, c] * phi_nodes[i]
-            return J
+            _, X, U = node_values(z)
+            F = scale * np.array([np.hstack([fx_fun(x, u), fu_fun(x, u)]) for x, u in zip(X, U)])
+            J_nodes = dX_dz - F[..., None] * phi_nodes[:, None, None, :]
+            return np.vstack([J_start, J_nodes.reshape(-1, layout.n_vars)])
 
     # Linear inequality rows: envelope per channel (socse) or node values (soc).
     blk = phi_nodes if cfg.node_only else env.C
     k = blk.shape[0]
-    A = np.zeros((k * len(channels), layout.n_vars))
-    for j, cols in enumerate(channels):
-        A[j * k:(j + 1) * k, cols] = blk
+    A = np.kron(np.eye(n_c), blk)
     lo = np.repeat(np.concatenate([ocp.x_lower, ocp.u_lower]), k)
     hi = np.repeat(np.concatenate([ocp.x_upper, ocp.u_upper]), k)
 
@@ -305,7 +268,7 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     if ocp.terminal_constraint is not None:
         def ineq_fun(z):
             ax, _ = layout.decode(z)
-            return np.atleast_1d(ocp.terminal_constraint(phi_end @ ax))
+            return np.atleast_1d(ocp.terminal_constraint(phi_nodes[-1] @ ax))
 
     return NlpProblem(
         n_vars=layout.n_vars,

@@ -49,7 +49,7 @@ def fit_spline(fun, M, time_map):
     basis = basis_matrix(M)
     taus = lgl_grid(M + 1).nodes
     V = np.vander(taus, M + 1, increasing=True) @ basis.L.T
-    vals = np.array([fun(float(time_map.to_physical(tau))) for tau in taus])
+    vals = np.array([fun(time_map.t0 + time_map.scale() * (tau + 1.0)) for tau in taus])
     return np.linalg.solve(V, vals)[:, None]
 
 
@@ -189,7 +189,7 @@ class TestBenchmarkRunner:
     def test_collocation_and_shooting_rows(self):
         ocp = academic_problem()
         ref = cheap_reference(ocp)
-        rows = run_benchmark(ocp, ["SOCSE-5", "MS-4"], reference=ref)
+        rows = run_benchmark(ocp, ["SOCSE-5", "MS-4"], samples=10000, reference=ref)
         assert [r.method for r in rows] == ["SOCSE-5", "MS-4"]
         for r in rows:
             assert r.status == "converged"
@@ -203,7 +203,7 @@ class TestBenchmarkRunner:
     def test_failure_rows_are_recorded(self):
         ocp = academic_problem()
         ref = cheap_reference(ocp)
-        rows = run_benchmark(ocp, ["SOCSE-1", "SOCSE-5"], reference=ref)
+        rows = run_benchmark(ocp, ["SOCSE-1", "SOCSE-5"], samples=10000, reference=ref)
         assert rows[0].status.startswith("error:")
         assert math.isnan(rows[0].cost_dev_pct)
         assert rows[1].status == "converged"
@@ -211,7 +211,7 @@ class TestBenchmarkRunner:
     def test_nonconverged_row_keeps_nan_metrics(self):
         ocp = academic_problem()
         ref = cheap_reference(ocp)
-        rows = run_benchmark(ocp, ["MS-4"], reference=ref,
+        rows = run_benchmark(ocp, ["MS-4"], samples=10000, reference=ref,
                              opts=SqpOptions(max_iters=1))
         assert rows[0].status in ("max_iters", "line_search_failure")
         assert math.isnan(rows[0].cost_dev_pct)

@@ -1,6 +1,7 @@
 """SQP solver and active-set QP: hand-checkable cases, enumeration oracle,
 certificates and determinism."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -286,6 +287,10 @@ class TestSolveSqp:
         assert rep.status == "converged"
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-8)
         assert rep.iterations <= 3
+        # The multipliers are declared fields: z + J^T lam = 0 gives lam = -1.
+        assert {"lam_eq", "mu_lin", "mu_nl"} <= {f.name for f in dataclasses.fields(rep)}
+        np.testing.assert_allclose(rep.lam_eq, [-1.0], atol=1e-8)
+        assert rep.mu_lin.shape == (0,) and rep.mu_nl.shape == (0,)
 
     def test_clipped_quadratic(self):
         nlp = NlpProblem(
@@ -370,9 +375,3 @@ class TestSolveSqp:
             SqpOptions(ls_backtrack=1.5)
         with pytest.raises(ValueError):
             SqpOptions(eq_tol=0.0)
-
-    def test_record_iterates(self):
-        _, rep = solve_sqp(small_nlp(), np.zeros(2),
-                           SqpOptions(record_iterates=True))
-        assert rep.iterates is not None
-        assert len(rep.iterates) == rep.iterations + 1

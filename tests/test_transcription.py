@@ -8,8 +8,9 @@ from socenv.nlp import fd_gradient, fd_jacobian
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.analysis import solve_method
 from socenv.polynomial import TimeMap
-from socenv.transcription import (CollocationConfig, decode, transcribe,
+from socenv.transcription import (MODES, CollocationConfig, decode, transcribe,
                                   transcribe_multiple_shooting)
+from socenv.vehicle import VehicleParams, avp_problem
 
 
 def constant_problem(c=0.7):
@@ -22,6 +23,45 @@ def constant_problem(c=0.7):
         u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
         x0=np.array([c]), t0=0.0, tf=1.0,
     )
+
+
+def pendulum_problem():
+    """Two states, one control; the stage cost couples x and u, so lxu != 0."""
+    def stage_cost(x, u):
+        return float(0.5 * x[0] ** 2 + x[1] ** 2 + 0.1 * x[0] ** 2 * x[1]
+                     + 0.3 * x[0] * u[0] + 0.7 * x[1] * u[0] + u[0] ** 2)
+
+    def stage_cost_grad(x, u):
+        return (np.array([x[0] + 0.2 * x[0] * x[1] + 0.3 * u[0],
+                          2.0 * x[1] + 0.1 * x[0] ** 2 + 0.7 * u[0]]),
+                np.array([0.3 * x[0] + 0.7 * x[1] + 2.0 * u[0]]))
+
+    def stage_cost_hess(x, u):
+        lxx = np.array([[1.0 + 0.2 * x[1], 0.2 * x[0]], [0.2 * x[0], 2.0]])
+        return lxx, np.array([[0.3], [0.7]]), np.array([[2.0]])
+
+    return OcpProblem(
+        n_x=2, n_u=1,
+        dynamics=lambda x, u: np.array([x[1], -np.sin(x[0]) + u[0]]),
+        stage_cost=stage_cost,
+        x_lower=np.array([-3.0, -3.0]), x_upper=np.array([3.0, 3.0]),
+        u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
+        x0=np.array([0.5, 0.0]), t0=0.0, tf=2.0,
+        dynamics_jacobians=(lambda x, u: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]),
+                            lambda x, u: np.array([[0.0], [1.0]])),
+        stage_cost_grad=stage_cost_grad,
+        stage_cost_hess=stage_cost_hess,
+    )
+
+
+def avp_point(nlp, seed):
+    """Coefficients of a trajectory near the parking spot: constant part plus small wiggles."""
+    rng = np.random.default_rng(seed)
+    lay = nlp.layout
+    ax = 0.05 * rng.standard_normal((lay.rows, lay.n_x))
+    ax[0] += [1.5, 0.1, 0.05, 7.0, 0.5, 0.1, 0.5, 0.2, 0.05, 0.1]
+    au = 0.1 * rng.standard_normal((lay.rows, lay.n_u))
+    return lay.encode(ax, au)
 
 
 class TestConfig:
@@ -81,6 +121,50 @@ class TestDerivatives:
         z = rng.standard_normal(nlp.n_vars)
         np.testing.assert_allclose(nlp.hessian(z),
                                    fd_jacobian(nlp.gradient, z, 1e-6), atol=1e-5)
+
+
+class TestMultiChannelDerivatives:
+    """Problems with several channels, where a transposed channel or coefficient index shows.
+
+    Central differences with step 1e-6 are off by O(h^2) truncation plus
+    O(eps |f| / h) round-off, below 2e-9 on these problems, so atol is 1e-7.
+    """
+
+    STEP, ATOL = 1e-6, 1e-7
+
+    def check(self, nlp, z):
+        np.testing.assert_allclose(nlp.eq_jac(z), fd_jacobian(nlp.eq_fun, z, self.STEP),
+                                   rtol=0.0, atol=self.ATOL)
+        np.testing.assert_allclose(nlp.gradient(z), fd_gradient(nlp.objective, z, self.STEP),
+                                   rtol=0.0, atol=self.ATOL)
+        np.testing.assert_allclose(nlp.hessian(z), fd_jacobian(nlp.gradient, z, self.STEP),
+                                   rtol=0.0, atol=self.ATOL)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("params", [
+        VehicleParams(),
+        # A kappa(s) track drives the d(kappa)/ds chain rule through the rows.
+        VehicleParams(curvature=lambda s: 0.05 * s, curvature_deriv=lambda s: 0.05),
+    ], ids=["straight", "curved"])
+    def test_avp(self, params, mode):
+        nlp = transcribe(avp_problem(params), CollocationConfig(M=5, mode=mode))
+        self.check(nlp, avp_point(nlp, 3))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_state_control_cross_term(self, mode):
+        nlp = transcribe(pendulum_problem(), CollocationConfig(M=6, mode=mode))
+        rng = np.random.default_rng(8)
+        self.check(nlp, 0.5 * rng.standard_normal(nlp.n_vars))
+
+    def test_terminal_cost_gradient(self):
+        ocp = academic_problem()
+        ocp.terminal_cost = lambda x: float(2.0 * x[0] ** 2 + x[0])
+        ocp.terminal_cost_grad = lambda x: np.array([4.0 * x[0] + 1.0])
+        nlp = transcribe(ocp, CollocationConfig(M=5))
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal(nlp.n_vars)
+        np.testing.assert_allclose(nlp.gradient(z), fd_gradient(nlp.objective, z, self.STEP),
+                                   rtol=0.0, atol=self.ATOL)
 
 
 class TestObjectiveQuadrature:
