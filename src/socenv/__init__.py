@@ -15,7 +15,7 @@ Submodules:
 __version__ = "0.1.0"
 
 from .envelope import envelope_matrix, spline_bounds
-from .nlp import SqpOptions, solve_sqp
+from .nlp import solve_sqp
 from .ocp import OcpProblem, academic_problem
 from .polynomial import TimeMap, basis_matrix, lgl_grid
 from .transcription import (CollocationConfig, decode, transcribe,
@@ -25,7 +25,7 @@ from .vehicle import VehicleParams, avp_problem
 __all__ = [
     "__version__",
     "envelope_matrix", "spline_bounds",
-    "SqpOptions", "solve_sqp",
+    "solve_sqp",
     "OcpProblem", "academic_problem",
     "TimeMap", "basis_matrix", "lgl_grid",
     "CollocationConfig", "decode", "transcribe", "transcribe_multiple_shooting",

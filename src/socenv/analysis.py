@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NonConvergenceError
-from .integrators import rk4_step, rk4_step_timed, rk4_step_jacobians, fd_dynamics_jacobians
-from .nlp import SqpOptions, solve_sqp, kkt_certificate
+from .integrators import rk4_step, rk4_step_timed, rk4_step_jacobians
+from .nlp import MAX_ITERS, solve_sqp, kkt_certificate
 from .ocp import OcpProblem
 from .polynomial import TimeMap
 from .transcription import (CollocationConfig, SplineSolution, decode,
@@ -110,21 +110,7 @@ def quasi_optimal_reference(ocp: OcpProblem, K_fine: int = 1000,
     dt = (ocp.tf - ocp.t0) / K
     h = dt / substeps
 
-    if ocp.dynamics_jacobians is not None:
-        fx_fun, fu_fun = ocp.dynamics_jacobians
-    else:
-        fx_fun, fu_fun = fd_dynamics_jacobians(ocp.dynamics)
-    if ocp.stage_cost_grad is not None:
-        lgrad = ocp.stage_cost_grad
-    else:
-        def lgrad(x, u, _e=1e-7):
-            gx = np.array([(ocp.stage_cost(x + _e * np.eye(n_x)[j], u)
-                            - ocp.stage_cost(x - _e * np.eye(n_x)[j], u)) / (2 * _e)
-                           for j in range(n_x)])
-            gu = np.array([(ocp.stage_cost(x, u + _e * np.eye(n_u)[j])
-                            - ocp.stage_cost(x, u - _e * np.eye(n_u)[j])) / (2 * _e)
-                           for j in range(n_u)])
-            return gx, gu
+    fx_fun, fu_fun = ocp.dynamics_jacobians
 
     x_lo, x_hi = ocp.x_lower, ocp.x_upper
     finite_lo = np.isfinite(x_lo)
@@ -180,7 +166,7 @@ def quasi_optimal_reference(ocp: OcpProblem, K_fine: int = 1000,
         lam = lam + gk
         for k in range(K - 1, -1, -1):
             val += dt * ocp.stage_cost(X[k], U[k])
-            lx, lu = lgrad(X[k], U[k])
+            lx, lu = ocp.stage_cost_grad(X[k], U[k])
             vk, gk = al_terms(X[k], mu_lo[k], mu_hi[k])
             val += vk
             gU[k] = dt * lu + jus[k].T @ lam
@@ -293,17 +279,16 @@ def parse_method(label: str):
     return family, order
 
 
-def solve_method(ocp: OcpProblem, label: str, opts: Optional[SqpOptions] = None):
-    """Solve one method; returns (report, solution-like, nlp, z).
+def solve_method(ocp: OcpProblem, label: str, max_iters: int = MAX_ITERS):
+    """Solve one method in at most ``max_iters`` SQP iterations; returns (report, solution-like, nlp, z).
 
     Collocation methods return a SplineSolution; multiple shooting returns the
     ReferenceTrajectory-shaped discrete solution.
     """
     family, order = parse_method(label)
-    opts = opts or SqpOptions()
     if family == "MS":
         nlp = transcribe_multiple_shooting(ocp, order, substeps=MS_SUBSTEPS)
-        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), opts)
+        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters)
         lay = nlp.layout
         K = order
         dt = (ocp.tf - ocp.t0) / K
@@ -315,14 +300,14 @@ def solve_method(ocp: OcpProblem, label: str, opts: Optional[SqpOptions] = None)
         return rep, sol, nlp, z
     mode = {"SOCSE": "socse", "SOC": "soc", "PS": "pseudospectral"}[family]
     nlp = transcribe(ocp, CollocationConfig(M=order, mode=mode))
-    z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), opts)
+    z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters)
     sol = decode(z, nlp, TimeMap(ocp.t0, ocp.tf), rep.objective)
     return rep, sol, nlp, z
 
 
 def run_benchmark(ocp: OcpProblem, methods: Sequence[str], samples: int,
                   reference: Optional[ReferenceTrajectory] = None,
-                  opts: Optional[SqpOptions] = None,
+                  max_iters: int = MAX_ITERS,
                   skip_reference: bool = False) -> list:
     """Run each method against the shared reference; failures fill a row too.
 
@@ -336,7 +321,7 @@ def run_benchmark(ocp: OcpProblem, methods: Sequence[str], samples: int,
     for label in methods:
         row = BenchmarkRow(method=label)
         try:
-            rep, sol, nlp, z = solve_method(ocp, label, opts)
+            rep, sol, nlp, z = solve_method(ocp, label, max_iters)
             row.solve_time_s = rep.wall_time
             row.status = rep.status
             if rep.status != "converged":

@@ -19,7 +19,7 @@ from .analysis import (dense_violation_scan, parse_method, rows_to_csv, rows_to_
                        run_benchmark, solve_method)
 from .envelope import envelope_matrix, spline_bounds
 from .errors import DomainError
-from .nlp import SqpOptions
+from .nlp import MAX_ITERS
 from .ocp import academic_problem
 from .polynomial import basis_matrix, lgl_grid, spline_samples
 from .transcription import SplineSolution
@@ -77,7 +77,7 @@ def cmd_envelope_demo(ns: argparse.Namespace) -> int:
 def cmd_solve(ns: argparse.Namespace) -> int:
     ocp = _problem(ns)
     label = ns.method or f"SOCSE-{ns.degree or 8}"
-    rep, sol, nlp, z = solve_method(ocp, label, SqpOptions(max_iters=ns.max_iters))
+    rep, sol, nlp, z = solve_method(ocp, label, max_iters=ns.max_iters)
     payload = {"config": vars(ns), "method": label,
                "report": {"status": rep.status, "iterations": rep.iterations,
                           "objective": rep.objective,
@@ -112,7 +112,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         methods = ["SOC-3", "SOC-5", "SOCSE-3", "SOCSE-5", "SOCSE-8"]
     for m in methods:
         parse_method(m)
-    rows = run_benchmark(ocp, methods, opts=SqpOptions(max_iters=ns.max_iters),
+    rows = run_benchmark(ocp, methods, max_iters=ns.max_iters,
                          samples=ns.samples, skip_reference=ns.skip_reference)
     if ns.format == "json":
         _write(rows_to_json(rows, vars(ns)) + "\n", ns.out)
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     out_help = "output path (default stdout)"
     samples_help = "dense sample count (at least 1000)"
     config_help = "YAML config file (vehicle/problem sections); --problem avp only"
-    max_iters = SqpOptions.max_iters
 
     p = sub.add_parser("nodes", help="print LGL nodes and weights")
     p.add_argument("--nodes", type=_at_least(2), required=True, metavar="N")
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_at_least(1), help="shorthand for SOCSE-<degree>")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=max_iters, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS, dest="max_iters")
     p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
@@ -173,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="comma-separated method labels")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=max_iters, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS, dest="max_iters")
     p.add_argument("--out", help=out_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--skip-reference", action="store_true",

@@ -21,7 +21,7 @@ class DofViolationError(ValueError):
         )
 
 
-class SingularCurvilinearError(ValueError):
+class SingularCurvilinearError(DomainError):
     """Curvilinear projection singular: vehicle at the curvature center (1 - kappa*w ~ 0)."""
 
 

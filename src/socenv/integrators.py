@@ -61,27 +61,3 @@ def rk4_step_jacobians(f, fx, fu, x, u, h):
     jx = eye + (h / 6.0) * (dk1_dx + 2.0 * dk2_dx + 2.0 * dk3_dx + dk4_dx)
     ju = (h / 6.0) * (dk1_du + 2.0 * dk2_du + 2.0 * dk3_du + dk4_du)
     return x_next, jx, ju
-
-
-def fd_dynamics_jacobians(f, step: float = 1e-6):
-    """Central-difference (df/dx, df/du) callbacks for a dynamics callback."""
-
-    def fx(x, u):
-        n = x.shape[0]
-        out = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = step
-            out[:, j] = (f(x + e, u) - f(x - e, u)) / (2.0 * step)
-        return out
-
-    def fu(x, u):
-        n, m = x.shape[0], u.shape[0]
-        out = np.empty((n, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = step
-            out[:, j] = (f(x, u + e) - f(x, u - e)) / (2.0 * step)
-        return out
-
-    return fx, fu

@@ -2,47 +2,39 @@
 
 Targets small NLPs (tens to a few hundred variables) with smooth nonlinear
 equality constraints, two-sided linear inequalities ``lo <= A z <= hi`` and
-optional nonlinear inequalities ``t(z) <= 0``.  The Hessian is a Powell-damped
-BFGS approximation, globalized by a backtracking line search on an l1
-exact-penalty merit function whose penalty is kept above the largest
-multiplier estimate.  The QP subsolver uses null-space elimination of
-equalities, then dual active-set on inequalities.  Everything is
-deterministic: fixed pivoting rules, no randomness.
+optional nonlinear inequalities ``t(z) <= 0``.  Derivatives are required:
+the objective gradient and the equality Jacobian come from the problem.  The
+Hessian is the problem's objective Hessian with its eigenvalues floored, or,
+only when the problem supplies none, a Powell-damped BFGS approximation.
+Steps are globalized by a backtracking line search on an l1 exact-penalty
+merit function whose penalty is kept above the largest multiplier estimate;
+a trial point outside the model's domain is a rejected trial.  The QP
+subsolver uses null-space elimination of equalities, then dual active-set on
+inequalities.  Everything is deterministic: fixed pivoting rules, no
+randomness.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .errors import DomainError
 from .transcription import NlpProblem
+
+MAX_ITERS = 400         # SQP iteration cap, the solver's one setting
+EQ_TOL = 1e-8           # feasibility tolerance for convergence
+KKT_TOL = 1e-6          # stationarity tolerance for convergence
+PENALTY_GROWTH = 2.0
+LS_BACKTRACK = 0.5
+LS_ARMIJO = 1e-4
+MAX_BACKTRACKS = 30
+GN_FLOOR = 1e-2         # eigenvalue floor applied to a supplied objective Hessian
 
 _ACTIVE_TOL = 1e-10
 _RANK_TOL = 1e-10     # |R_kk| / |R_00| below which an equality row is dependent
-
-
-@dataclass
-class SqpOptions:
-    max_iters: int = 400
-    eq_tol: float = 1e-8
-    kkt_tol: float = 1e-6
-    penalty_growth: float = 2.0
-    fd_step: float = 1e-6
-    ls_backtrack: float = 0.5
-    ls_armijo: float = 1e-4
-    max_backtracks: int = 30
-    h0: float = 1.0
-    gn_floor: float = 1e-2   # eigenvalue floor applied to a supplied objective Hessian
-
-    def __post_init__(self):
-        if not 0.0 < self.ls_backtrack < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        for name in ("eq_tol", "kkt_tol", "fd_step", "ls_armijo", "penalty_growth", "h0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -95,8 +87,7 @@ def fd_gradient(fun, z, step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
-                  max_iter: Optional[int] = None) -> QpResult:
+def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> QpResult:
     """Solve min 1/2 d'Hd + g'd  s.t.  A_eq d = b_eq,  lo <= A_ineq d <= hi.
 
     Null-space elimination of equalities, then dual active-set on
@@ -133,8 +124,7 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
     m = A_ineq.shape[0]
     n_eq = A_eq.shape[0]
-    if max_iter is None:
-        max_iter = 50 + 10 * (n + 2 * m)
+    max_iter = 50 + 10 * (n + 2 * m)
 
     scale_b = max(1.0,
                   float(np.max(np.abs(b_eq), initial=0.0)),
@@ -199,8 +189,8 @@ def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
     normals: list = []
     it_count = 0
 
-    def directions(nrm):
-        gn = hsolve(nrm)
+    def directions(nrm, gn):
+        """Step in x and in the active multipliers; gn is H^-1 @ nrm."""
         if not active:
             return gn, np.zeros(0)
         Ng = np.column_stack(ginv_cols)
@@ -221,14 +211,15 @@ def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
     def add_constraint(cid, nrm, rhs):
         nonlocal x, it_count
         u_new = 0.0
+        gn = hsolve(nrm)
+        curv_full = float(nrm @ gn)
         while True:
             it_count += 1
             if it_count > max_iter:
                 return "cycle"
-            z, r = directions(nrm)
+            z, r = directions(nrm, gn)
             resid = rhs - float(nrm @ x)
             curv = float(nrm @ z)            # = |proj of nrm|^2 in the H metric
-            curv_full = float(nrm @ hsolve(nrm))
             if not np.isfinite(curv) or not np.isfinite(resid):
                 return "cycle"
             blockers = [(u[k] / r[k], k) for k in range(len(active)) if r[k] > _ACTIVE_TOL]
@@ -257,7 +248,7 @@ def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
             active.append(cid)
             u.append(u_new)
             normals.append(nrm)
-            ginv_cols.append(hsolve(nrm))
+            ginv_cols.append(gn)
             return "added"
 
     status = "optimal"
@@ -307,17 +298,21 @@ def _merit(f, c_eq, lin_viol, t_vals, sigma):
     return f + sigma * total
 
 
-def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None,
-                    fd_step: float = 1e-6) -> dict:
+def _ineq_jac(nlp: NlpProblem):
+    """Jacobian of the nonlinear inequalities; central differences when none is given."""
+    return nlp.ineq_jac or (lambda v: fd_jacobian(nlp.ineq_fun, v))
+
+
+def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None) -> dict:
     """Independently recompute stationarity, feasibility and complementarity.
 
     Deliberately separate from the solver loop; uses the problem callbacks
     directly so a converged report can be audited.
     """
     z = np.asarray(z, dtype=float)
-    g = nlp.gradient(z) if nlp.gradient is not None else fd_gradient(nlp.objective, z, fd_step)
+    g = nlp.gradient(z)
     c = np.atleast_1d(nlp.eq_fun(z))
-    J = nlp.eq_jac(z) if nlp.eq_jac is not None else fd_jacobian(nlp.eq_fun, z, fd_step)
+    J = nlp.eq_jac(z)
     r = g + J.T @ np.asarray(lam_eq, dtype=float)
     lin_viol = _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, z)
     compl = 0.0
@@ -335,8 +330,7 @@ def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None,
         t = np.atleast_1d(nlp.ineq_fun(z))
         t_viol = float(np.max(np.maximum(t, 0.0), initial=0.0))
         if mu_nl is not None and np.asarray(mu_nl).size:
-            Jt = (nlp.ineq_jac(z) if nlp.ineq_jac is not None
-                  else fd_jacobian(nlp.ineq_fun, z, fd_step))
+            Jt = _ineq_jac(nlp)(z)
             r = r + Jt.T @ np.asarray(mu_nl, dtype=float)
             compl = max(compl, float(np.max(np.abs(np.asarray(mu_nl) * t), initial=0.0)))
     return {
@@ -347,26 +341,21 @@ def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None,
     }
 
 
-def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
-    """Solve the NLP from z0; returns (z, SolveReport)."""
-    opts = opts or SqpOptions()
+def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
+    """Solve the NLP from z0 in at most ``max_iters`` iterations; returns (z, SolveReport)."""
     t_start = time.perf_counter()
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (nlp.n_vars,):
         raise ValueError(f"z0 has shape {z.shape}, expected ({nlp.n_vars},)")
     n = nlp.n_vars
 
-    grad = nlp.gradient or (lambda v: fd_gradient(nlp.objective, v, opts.fd_step))
-    eq_jac = nlp.eq_jac or (lambda v: fd_jacobian(nlp.eq_fun, v, opts.fd_step))
     has_nl = nlp.ineq_fun is not None
-    nl_jac = None
-    if has_nl:
-        nl_jac = nlp.ineq_jac or (lambda v: fd_jacobian(nlp.ineq_fun, v, opts.fd_step))
+    nl_jac = _ineq_jac(nlp) if has_nl else None
 
     f = nlp.objective(z)
-    g = grad(z)
+    g = nlp.gradient(z)
     c = np.atleast_1d(nlp.eq_fun(z))
-    J = eq_jac(z)
+    J = nlp.eq_jac(z)
     t_vals = np.atleast_1d(nlp.ineq_fun(z)) if has_nl else None
     Jt = nl_jac(z) if has_nl else None
 
@@ -376,9 +365,9 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
         Hm = np.asarray(nlp.hessian(zz), dtype=float)
         Hm = 0.5 * (Hm + Hm.T)
         wv, Vv = np.linalg.eigh(Hm)
-        return (Vv * np.maximum(wv, opts.gn_floor)) @ Vv.T
+        return (Vv * np.maximum(wv, GN_FLOOR)) @ Vv.T
 
-    B = gn_hessian(z) if use_gn else opts.h0 * np.eye(n)
+    B = gn_hessian(z) if use_gn else np.eye(n)
     sigma = 1.0
     lam = np.zeros(c.size)
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
@@ -408,11 +397,11 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
     def stationarity(gg, JJ, JJt):
         return float(np.max(np.abs(lagr_grad(gg, JJ, JJt)), initial=0.0))
 
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, max_iters + 1):
         iters_done = it
 
         feas = feasibility(z, c, t_vals)
-        if it > 1 and feas <= opts.eq_tol and stationarity(g, J, Jt) <= opts.kkt_tol:
+        if it > 1 and feas <= EQ_TOL and stationarity(g, J, Jt) <= KKT_TOL:
             status = "converged"
             iters_done = it - 1
             break
@@ -450,10 +439,10 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
                        float(np.max(np.abs(nu_all), initial=0.0)))
         needed = 1.1 * mult_max
         if sigma < needed:
-            sigma = max(needed, sigma * opts.penalty_growth)
+            sigma = max(needed, sigma * PENALTY_GROWTH)
 
         if float(np.max(np.abs(d), initial=0.0)) < 1e-13:
-            if feas <= opts.eq_tol and stationarity(g, J, Jt) <= opts.kkt_tol:
+            if feas <= EQ_TOL and stationarity(g, J, Jt) <= KKT_TOL:
                 status = "converged"
             else:
                 status = "line_search_failure"
@@ -465,23 +454,27 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
         descent = float(g @ d) - sigma * viol1_0
 
         def try_point(z_try):
-            f_try = nlp.objective(z_try)
-            c_try = np.atleast_1d(nlp.eq_fun(z_try))
-            t_try = np.atleast_1d(nlp.ineq_fun(z_try)) if has_nl else None
+            """Values and merit at a trial point; a point outside the model's domain has none."""
+            try:
+                f_try = nlp.objective(z_try)
+                c_try = np.atleast_1d(nlp.eq_fun(z_try))
+                t_try = np.atleast_1d(nlp.ineq_fun(z_try)) if has_nl else None
+            except DomainError:
+                return None, None, None, np.inf
             lv_try = _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, z_try)
             return f_try, c_try, t_try, _merit(f_try, c_try, lv_try, t_try, sigma)
 
         alpha = 1.0
         accepted = False
         tried_soc = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             z_try = z + alpha * d
             f_try, c_try, t_try, m_try = try_point(z_try)
-            bound = merit0 + opts.ls_armijo * alpha * min(descent, 0.0)
+            bound = merit0 + LS_ARMIJO * alpha * min(descent, 0.0)
             if m_try <= bound:
                 accepted = True
                 break
-            if not tried_soc and c.size:
+            if not tried_soc and c.size and c_try is not None:
                 # Second-order correction: the full step satisfies the
                 # linearized equalities but curvature reinflates |c|; a
                 # minimum-norm correction restoring J dc = -c(z+d) often
@@ -499,13 +492,13 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
                         z_try, f_try, c_try, t_try = z_soc, f_s, c_s, t_s
                         accepted = True
                         break
-            alpha *= opts.ls_backtrack
+            alpha *= LS_BACKTRACK
         if not accepted:
             if not did_reset:
-                # Curvature information is poor; restart from a scaled identity
+                # Curvature information is poor; restart from the identity
                 # (and fall back to BFGS updating if a model Hessian was used).
                 use_gn = False
-                B = opts.h0 * np.eye(n)
+                B = np.eye(n)
                 did_reset = True
                 continue
             status = "line_search_failure"
@@ -513,8 +506,8 @@ def solve_sqp(nlp: NlpProblem, z0, opts: Optional[SqpOptions] = None):
         did_reset = False
 
         s = alpha * d
-        g_new = grad(z_try)
-        J_new = eq_jac(z_try)
+        g_new = nlp.gradient(z_try)
+        J_new = nlp.eq_jac(z_try)
         Jt_new = nl_jac(z_try) if has_nl else None
 
         if use_gn:

@@ -2,7 +2,9 @@
 
 Path constraints are componentwise boxes on states and controls; the envelope
 transcription bounds each spline channel, so general nonlinear path
-constraints are deliberately not modeled.
+constraints are deliberately not modeled.  Model derivatives are required:
+every transcription and the reference solve use them, and none falls back to
+finite differences.
 """
 
 from __future__ import annotations
@@ -19,15 +21,21 @@ Vector = np.ndarray
 class OcpProblem:
     """Continuous Bolza problem: dynamics, costs, boxes, initial state, horizon.
 
-    ``dynamics(x, u)`` returns xdot; ``dynamics_jacobians`` optionally supplies
-    (df/dx, df/du) callbacks.  ``terminal_constraint`` follows the g(x) <= 0
-    convention.  All callbacks must be pure.
+    ``dynamics(x, u)`` returns xdot and ``dynamics_jacobians`` is the pair of
+    (df/dx, df/du) callbacks.  ``stage_cost_grad(x, u)`` returns (l_x, l_u)
+    and ``stage_cost_hess(x, u)`` returns (l_xx, l_xu, l_uu).  A
+    ``terminal_cost`` comes with its ``terminal_cost_grad``.
+    ``terminal_constraint`` follows the g(x) <= 0 convention.  All callbacks
+    must be pure.
     """
 
     n_x: int
     n_u: int
     dynamics: Callable[[Vector, Vector], Vector]
+    dynamics_jacobians: tuple
     stage_cost: Callable[[Vector, Vector], float]
+    stage_cost_grad: Callable[[Vector, Vector], tuple]
+    stage_cost_hess: Callable[[Vector, Vector], tuple]
     x_lower: Vector
     x_upper: Vector
     u_lower: Vector
@@ -36,14 +44,13 @@ class OcpProblem:
     t0: float
     tf: float
     terminal_cost: Optional[Callable[[Vector], float]] = None
-    terminal_constraint: Optional[Callable[[Vector], Vector]] = None
-    dynamics_jacobians: Optional[tuple] = None
-    stage_cost_grad: Optional[Callable[[Vector, Vector], tuple]] = None
-    stage_cost_hess: Optional[Callable[[Vector, Vector], tuple]] = None
     terminal_cost_grad: Optional[Callable[[Vector], Vector]] = None
+    terminal_constraint: Optional[Callable[[Vector], Vector]] = None
     name: str = "ocp"
 
     def __post_init__(self):
+        if self.terminal_cost is not None and self.terminal_cost_grad is None:
+            raise ValueError("terminal_cost needs terminal_cost_grad")
         for attr in ("x_lower", "x_upper", "u_lower", "u_upper", "x0"):
             setattr(self, attr, np.asarray(getattr(self, attr), dtype=float))
         if not self.tf > self.t0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .envelope import EnvelopeMatrices, envelope_matrix, spline_bounds
 from .errors import DofViolationError, LayoutError
-from .integrators import fd_dynamics_jacobians, rk4_step, rk4_step_jacobians
+from .integrators import rk4_step, rk4_step_jacobians
 from .ocp import OcpProblem
 from .polynomial import (
     TimeMap,
@@ -123,21 +123,24 @@ class MsLayout:
 
 @dataclass
 class NlpProblem:
-    """Dense NLP: smooth objective, nonlinear equalities, linear two-sided inequalities."""
+    """Dense NLP: smooth objective, nonlinear equalities, linear two-sided inequalities.
+
+    The gradient and the equality Jacobian are required.  Without a
+    ``hessian`` the solver uses damped BFGS.
+    """
 
     n_vars: int
     objective: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray]
     eq_fun: Callable[[np.ndarray], np.ndarray]
+    eq_jac: Callable[[np.ndarray], np.ndarray]
     A_ineq: np.ndarray
     ineq_lower: np.ndarray
     ineq_upper: np.ndarray
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    eq_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ineq_fun: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ineq_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     layout: object = None
-    n_eq: int = 0
 
 
 @dataclass
@@ -216,20 +219,17 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
             total += float(ocp.terminal_cost(phi_nodes[-1] @ ax))
         return total
 
-    gradient = None
-    if ocp.stage_cost_grad is not None and (
-            ocp.terminal_cost is None or ocp.terminal_cost_grad is not None):
-        def gradient(z):
-            ax, X, U = node_values(z)
-            G = np.array([np.concatenate(ocp.stage_cost_grad(x, u)) for x, u in zip(X, U)])
-            g = scale * (phi_nodes.T @ (w[:, None] * G)).T.ravel()
-            if ocp.terminal_cost is not None:
-                gphi = ocp.terminal_cost_grad(phi_nodes[-1] @ ax)
-                g[:n_x * layout.rows] += np.outer(gphi, phi_nodes[-1]).ravel()
-            return g
+    def gradient(z):
+        ax, X, U = node_values(z)
+        G = np.array([np.concatenate(ocp.stage_cost_grad(x, u)) for x, u in zip(X, U)])
+        g = scale * (phi_nodes.T @ (w[:, None] * G)).T.ravel()
+        if ocp.terminal_cost is not None:
+            gphi = ocp.terminal_cost_grad(phi_nodes[-1] @ ax)
+            g[:n_x * layout.rows] += np.outer(gphi, phi_nodes[-1]).ravel()
+        return g
 
     hessian = None
-    if ocp.stage_cost_hess is not None and ocp.terminal_cost is None:
+    if ocp.terminal_cost is None:
         def hessian(z):
             _, X, U = node_values(z)
             Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
@@ -237,25 +237,21 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
             H = np.einsum("i,iab,ik,il->akbl", scale * w, Hl, phi_nodes, phi_nodes)
             return H.reshape(layout.n_vars, layout.n_vars)
 
-    n_eq = n_x * (1 + cfg.N)
-
     def eq_fun(z):
         ax, X, U = node_values(z)
         F = np.array([ocp.dynamics(x, u) for x, u in zip(X, U)])
         return np.concatenate([phi_nodes[0] @ ax - ocp.x0, (dphi_nodes @ ax - scale * F).ravel()])
 
-    eq_jac = None
-    if ocp.dynamics_jacobians is not None:
-        fx_fun, fu_fun = ocp.dynamics_jacobians
-        eye = np.eye(n_x, n_c)
-        J_start = np.kron(eye, phi_nodes[0])
-        dX_dz = eye[None, :, :, None] * dphi_nodes[:, None, None, :]   # (N, n_x, n_c, M+1)
+    fx_fun, fu_fun = ocp.dynamics_jacobians
+    eye = np.eye(n_x, n_c)
+    J_start = np.kron(eye, phi_nodes[0])
+    dX_dz = eye[None, :, :, None] * dphi_nodes[:, None, None, :]   # (N, n_x, n_c, M+1)
 
-        def eq_jac(z):
-            _, X, U = node_values(z)
-            F = scale * np.array([np.hstack([fx_fun(x, u), fu_fun(x, u)]) for x, u in zip(X, U)])
-            J_nodes = dX_dz - F[..., None] * phi_nodes[:, None, None, :]
-            return np.vstack([J_start, J_nodes.reshape(-1, layout.n_vars)])
+    def eq_jac(z):
+        _, X, U = node_values(z)
+        F = scale * np.array([np.hstack([fx_fun(x, u), fu_fun(x, u)]) for x, u in zip(X, U)])
+        J_nodes = dX_dz - F[..., None] * phi_nodes[:, None, None, :]
+        return np.vstack([J_start, J_nodes.reshape(-1, layout.n_vars)])
 
     # Linear inequality rows: envelope per channel (socse) or node values (soc).
     blk = phi_nodes if cfg.node_only else env.C
@@ -283,7 +279,6 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
         ineq_jac=ineq_jac,
         hessian=hessian,
         layout=layout,
-        n_eq=n_eq,
     )
 
 
@@ -299,10 +294,7 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
     dt = (ocp.tf - ocp.t0) / K
     h = dt / substeps
 
-    if ocp.dynamics_jacobians is not None:
-        fx_fun, fu_fun = ocp.dynamics_jacobians
-    else:
-        fx_fun, fu_fun = fd_dynamics_jacobians(ocp.dynamics)
+    fx_fun, fu_fun = ocp.dynamics_jacobians
 
     def step_map(x, u):
         for _ in range(substeps):
@@ -325,24 +317,21 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
             total += float(ocp.terminal_cost(X[K]))
         return float(total)
 
-    gradient = None
-    if ocp.stage_cost_grad is not None and (
-            ocp.terminal_cost is None or ocp.terminal_cost_grad is not None):
-        def gradient(z):
-            X, U = layout.states(z), layout.controls(z)
-            g = np.zeros(layout.n_vars)
-            gx = g[: (K + 1) * n_x].reshape(K + 1, n_x)
-            gu = g[(K + 1) * n_x:].reshape(K, n_u)
-            for k in range(K):
-                lx, lu = ocp.stage_cost_grad(X[k], U[k])
-                gx[k] += dt * lx
-                gu[k] += dt * lu
-            if ocp.terminal_cost is not None:
-                gx[K] += ocp.terminal_cost_grad(X[K])
-            return g
+    def gradient(z):
+        X, U = layout.states(z), layout.controls(z)
+        g = np.zeros(layout.n_vars)
+        gx = g[: (K + 1) * n_x].reshape(K + 1, n_x)
+        gu = g[(K + 1) * n_x:].reshape(K, n_u)
+        for k in range(K):
+            lx, lu = ocp.stage_cost_grad(X[k], U[k])
+            gx[k] += dt * lx
+            gu[k] += dt * lu
+        if ocp.terminal_cost is not None:
+            gx[K] += ocp.terminal_cost_grad(X[K])
+        return g
 
     hessian = None
-    if ocp.stage_cost_hess is not None and ocp.terminal_cost is None:
+    if ocp.terminal_cost is None:
         def hessian(z):
             X, U = layout.states(z), layout.controls(z)
             H = np.zeros((layout.n_vars, layout.n_vars))
@@ -400,7 +389,6 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
         ineq_fun=ineq_fun,
         hessian=hessian,
         layout=layout,
-        n_eq=n_eq,
     )
 
 

@@ -13,7 +13,7 @@ from socenv.analysis import (dense_violation_scan, ode_rollout_error,
                              quasi_optimal_reference, solve_method,
                              trajectory_cost)
 from socenv.envelope import envelope_matrix, spline_bounds
-from socenv.nlp import SqpOptions, kkt_certificate, qp_active_set
+from socenv.nlp import kkt_certificate, qp_active_set
 from socenv.ocp import academic_problem
 from socenv.polynomial import basis_matrix, lgl_grid, spline_samples
 from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
@@ -35,7 +35,7 @@ def academic_solves():
     ocp = academic_problem()
     out = {}
     for label in ("SOCSE-8", "SOCSE-5", "SOC-5", "MS-50"):
-        rep, sol, nlp, z = solve_method(ocp, label, SqpOptions(max_iters=400))
+        rep, sol, nlp, z = solve_method(ocp, label, max_iters=400)
         out[label] = (rep, sol, nlp, z)
     return ocp, out
 
@@ -45,7 +45,7 @@ def avp_solves():
     ocp = avp_problem()
     out = {}
     for label in ("SOCSE-5", "SOC-3"):
-        rep, sol, nlp, z = solve_method(ocp, label, SqpOptions(max_iters=400))
+        rep, sol, nlp, z = solve_method(ocp, label, max_iters=400)
         out[label] = (rep, sol, nlp, z)
     return ocp, out
 

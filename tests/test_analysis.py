@@ -12,7 +12,6 @@ from socenv.analysis import (BenchmarkRow, ReferenceTrajectory, _rollout,
                              rows_to_csv, rows_to_json, run_benchmark,
                              solve_method, trajectory_cost)
 from socenv.envelope import envelope_matrix
-from socenv.nlp import SqpOptions
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap, basis_matrix, lgl_grid, spline_samples
 from socenv.transcription import SplineSolution
@@ -29,6 +28,20 @@ def lq_unconstrained():
         dynamics_jacobians=base.dynamics_jacobians,
         stage_cost_grad=base.stage_cost_grad,
         stage_cost_hess=base.stage_cost_hess,
+    )
+
+
+def integrator_problem(x0):
+    """xdot = u with a zero stage cost, on wide boxes."""
+    return OcpProblem(
+        n_x=1, n_u=1, dynamics=lambda x, u: np.array([u[0]]),
+        dynamics_jacobians=(lambda x, u: np.zeros((1, 1)), lambda x, u: np.ones((1, 1))),
+        stage_cost=lambda x, u: 0.0,
+        stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
+        stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
+        x_lower=np.array([-100.0]), x_upper=np.array([100.0]),
+        u_lower=np.array([-100.0]), u_upper=np.array([100.0]),
+        x0=np.array([x0]), t0=0.0, tf=1.0,
     )
 
 
@@ -79,11 +92,15 @@ class TestTrajectoryCost:
         base = lq_unconstrained()
         ocp = OcpProblem(
             n_x=1, n_u=1, dynamics=base.dynamics,
+            dynamics_jacobians=base.dynamics_jacobians,
             stage_cost=lambda x, u: 0.0,
+            stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
+            stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
             x_lower=base.x_lower, x_upper=base.x_upper,
             u_lower=base.u_lower, u_upper=base.u_upper,
             x0=base.x0, t0=0.0, tf=1.0,
             terminal_cost=lambda x: float(x[0] ** 2),
+            terminal_cost_grad=lambda x: np.array([2.0 * x[0]]),
         )
         cost = trajectory_cost(ocp, lambda ts: 3.0 * np.ones((np.asarray(ts).size, 1)),
                                lambda ts: np.zeros((np.asarray(ts).size, 1)))
@@ -93,13 +110,7 @@ class TestTrajectoryCost:
 class TestRolloutError:
     def test_exact_for_polynomial_control_integrator(self):
         """xdot = u with u a quadratic spline: RK4 reproduces the cubic state."""
-        ocp = OcpProblem(
-            n_x=1, n_u=1, dynamics=lambda x, u: np.array([u[0]]),
-            stage_cost=lambda x, u: 0.0,
-            x_lower=np.array([-100.0]), x_upper=np.array([100.0]),
-            u_lower=np.array([-100.0]), u_upper=np.array([100.0]),
-            x0=np.array([0.3]), t0=0.0, tf=1.0,
-        )
+        ocp = integrator_problem(0.3)
         tm = TimeMap(0.0, 1.0)
         u_fun = lambda t: 1.5 * t ** 2 - 0.4
         x_fun = lambda t: 0.3 + 0.5 * t ** 3 - 0.4 * t
@@ -107,13 +118,7 @@ class TestRolloutError:
         assert ode_rollout_error(sol, ocp, dt=1e-3) <= 1e-9
 
     def test_detects_inconsistent_pair(self):
-        ocp = OcpProblem(
-            n_x=1, n_u=1, dynamics=lambda x, u: np.array([u[0]]),
-            stage_cost=lambda x, u: 0.0,
-            x_lower=np.array([-100.0]), x_upper=np.array([100.0]),
-            u_lower=np.array([-100.0]), u_upper=np.array([100.0]),
-            x0=np.array([0.0]), t0=0.0, tf=1.0,
-        )
+        ocp = integrator_problem(0.0)
         tm = TimeMap(0.0, 1.0)
         sol = make_solution(fit_spline(lambda t: t, 3, tm),      # claims x = t
                             fit_spline(lambda t: 0.0 * t, 3, tm),  # but u = 0
@@ -212,7 +217,7 @@ class TestBenchmarkRunner:
         ocp = academic_problem()
         ref = cheap_reference(ocp)
         rows = run_benchmark(ocp, ["MS-4"], samples=10000, reference=ref,
-                             opts=SqpOptions(max_iters=1))
+                             max_iters=1)
         assert rows[0].status in ("max_iters", "line_search_failure")
         assert math.isnan(rows[0].cost_dev_pct)
 

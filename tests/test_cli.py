@@ -9,7 +9,7 @@ import pytest
 
 from socenv import analysis
 from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
-from socenv.nlp import SqpOptions
+from socenv.nlp import MAX_ITERS
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml")
 
@@ -186,7 +186,7 @@ class TestParser:
         parser = build_parser()
         for sub in ("solve", "bench"):
             ns = parser.parse_args([sub, "--problem", "academic"])
-            assert ns.max_iters == SqpOptions().max_iters
+            assert ns.max_iters == MAX_ITERS
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "academic", "--format", "csv"],

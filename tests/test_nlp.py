@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from socenv.nlp import (SqpOptions, fd_gradient, fd_jacobian, kkt_certificate,
-                        qp_active_set, solve_sqp)
+from socenv.errors import DomainError
+from socenv.nlp import (fd_gradient, fd_jacobian, kkt_certificate, qp_active_set,
+                        solve_sqp)
 from socenv.ocp import academic_problem
 from socenv.transcription import CollocationConfig, NlpProblem, transcribe
 
@@ -277,7 +278,6 @@ def small_nlp(n=2):
         A_ineq=np.zeros((0, n)),
         ineq_lower=np.zeros(0),
         ineq_upper=np.zeros(0),
-        n_eq=1,
     )
 
 
@@ -302,7 +302,6 @@ class TestSolveSqp:
             A_ineq=np.eye(1),
             ineq_lower=np.array([0.0]),
             ineq_upper=np.array([1.0]),
-            n_eq=0,
         )
         z, rep = solve_sqp(nlp, np.zeros(1))
         assert rep.status == "converged"
@@ -312,14 +311,18 @@ class TestSolveSqp:
         """min (1-z1)^2 + (z2-z1^2)^2 on the unit circle."""
         def obj(z):
             return float((1 - z[0]) ** 2 + (z[1] - z[0] ** 2) ** 2)
+
+        def grad(z):
+            r = z[1] - z[0] ** 2
+            return np.array([-2.0 * (1 - z[0]) - 4.0 * z[0] * r, 2.0 * r])
         nlp = NlpProblem(
-            n_vars=2, objective=obj,
+            n_vars=2, objective=obj, gradient=grad,
             eq_fun=lambda z: np.array([z @ z - 1.0]),
+            eq_jac=lambda z: 2.0 * z[None, :],
             A_ineq=np.zeros((0, 2)),
             ineq_lower=np.zeros(0), ineq_upper=np.zeros(0),
-            n_eq=1,
         )
-        z, rep = solve_sqp(nlp, np.array([0.5, 0.5]), SqpOptions(max_iters=100))
+        z, rep = solve_sqp(nlp, np.array([0.5, 0.5]), max_iters=100)
         assert rep.status == "converged"
         assert z @ z == pytest.approx(1.0, abs=1e-8)
         cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin)
@@ -331,13 +334,14 @@ class TestSolveSqp:
         nlp = NlpProblem(
             n_vars=2,
             objective=lambda z: float((z[0] - 2.0) ** 2 + z[1] ** 2),
+            gradient=lambda z: np.array([2.0 * (z[0] - 2.0), 2.0 * z[1]]),
             eq_fun=lambda z: np.zeros(0),
+            eq_jac=lambda z: np.zeros((0, 2)),
             A_ineq=np.zeros((0, 2)),
             ineq_lower=np.zeros(0), ineq_upper=np.zeros(0),
             ineq_fun=lambda z: np.array([z @ z - 1.0]),
-            n_eq=0,
         )
-        z, rep = solve_sqp(nlp, np.zeros(2), SqpOptions(max_iters=100))
+        z, rep = solve_sqp(nlp, np.zeros(2), max_iters=100)
         assert rep.status == "converged"
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-6)
 
@@ -363,15 +367,39 @@ class TestSolveSqp:
     def test_bfgs_fallback_without_model_hessian(self):
         nlp = transcribe(academic_problem(), CollocationConfig(M=5))
         nlp.hessian = None
-        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), SqpOptions(max_iters=300))
+        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters=300)
         assert rep.status == "converged"
 
     def test_rejects_bad_initial_shape(self):
         with pytest.raises(ValueError):
             solve_sqp(small_nlp(), np.zeros(3))
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SqpOptions(ls_backtrack=1.5)
-        with pytest.raises(ValueError):
-            SqpOptions(eq_tol=0.0)
+    def test_domain_error_at_trial_point_backtracks(self):
+        """min (z-2)^2 with the objective undefined past z = 3: the first trial, z = 4, is rejected."""
+        trials = []
+
+        def obj(z):
+            trials.append(float(z[0]))
+            if z[0] > 3.0:
+                raise DomainError(f"z={z[0]} outside the model's domain")
+            return float((z[0] - 2.0) ** 2)
+        nlp = NlpProblem(
+            n_vars=1, objective=obj,
+            gradient=lambda z: np.array([2.0 * (z[0] - 2.0)]),
+            eq_fun=lambda z: np.zeros(0),
+            eq_jac=lambda z: np.zeros((0, 1)),
+            A_ineq=np.zeros((0, 1)),
+            ineq_lower=np.zeros(0), ineq_upper=np.zeros(0),
+        )
+        z, rep = solve_sqp(nlp, np.zeros(1))
+        assert trials[:3] == [0.0, 4.0, 2.0]
+        assert rep.status == "converged"
+        assert z[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_domain_error_at_start_propagates(self):
+        def outside(z):
+            raise DomainError("z0 outside the model's domain")
+        nlp = small_nlp()
+        nlp.objective = outside
+        with pytest.raises(DomainError):
+            solve_sqp(nlp, np.zeros(2))

@@ -55,7 +55,10 @@ class TestValidation:
         return dict(
             n_x=1, n_u=1,
             dynamics=lambda x, u: -x + u,
+            dynamics_jacobians=(lambda x, u: -np.eye(1), lambda x, u: np.eye(1)),
             stage_cost=lambda x, u: float(x @ x + u @ u),
+            stage_cost_grad=lambda x, u: (2.0 * x, 2.0 * u),
+            stage_cost_hess=lambda x, u: (2.0 * np.eye(1), np.zeros((1, 1)), 2.0 * np.eye(1)),
             x_lower=np.array([-1.0]), x_upper=np.array([1.0]),
             u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
             x0=np.array([0.0]), t0=0.0, tf=1.0,
@@ -83,4 +86,19 @@ class TestValidation:
         kw = self.base_kwargs()
         kw["x0"] = np.zeros(2)
         with pytest.raises(ValueError):
+            OcpProblem(**kw)
+
+    def test_rejects_terminal_cost_without_gradient(self):
+        kw = self.base_kwargs()
+        kw["terminal_cost"] = lambda x: float(x @ x)
+        with pytest.raises(ValueError, match="terminal_cost_grad"):
+            OcpProblem(**kw)
+        kw["terminal_cost_grad"] = lambda x: 2.0 * x
+        OcpProblem(**kw)
+
+    @pytest.mark.parametrize("name", ["dynamics_jacobians", "stage_cost_grad", "stage_cost_hess"])
+    def test_model_derivatives_are_required(self, name):
+        kw = self.base_kwargs()
+        del kw[name]
+        with pytest.raises(TypeError, match=name):
             OcpProblem(**kw)

@@ -18,7 +18,10 @@ def constant_problem(c=0.7):
     return OcpProblem(
         n_x=1, n_u=1,
         dynamics=lambda x, u: np.zeros(1),
+        dynamics_jacobians=(lambda x, u: np.zeros((1, 1)), lambda x, u: np.zeros((1, 1))),
         stage_cost=lambda x, u: float(u @ u),
+        stage_cost_grad=lambda x, u: (np.zeros(1), 2.0 * u),
+        stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), 2.0 * np.eye(1)),
         x_lower=np.array([-2.0]), x_upper=np.array([2.0]),
         u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
         x0=np.array([c]), t0=0.0, tf=1.0,
@@ -81,10 +84,9 @@ class TestDimensions:
     def test_academic_socse_counts(self):
         nlp = transcribe(academic_problem(), CollocationConfig(M=8, N=8))
         assert nlp.n_vars == 18          # (1 + 1) * (8 + 1)
-        assert nlp.n_eq == 9             # initial condition + 8 collocation rows
         assert nlp.A_ineq.shape == (18, 18)
         z = np.zeros(18)
-        assert nlp.eq_fun(z).shape == (9,)
+        assert nlp.eq_fun(z).shape == (9,)   # initial condition + 8 collocation rows
         assert nlp.eq_jac(z).shape == (9, 18)
 
     def test_soc_node_only_rows(self):
@@ -253,7 +255,7 @@ class TestMultipleShooting:
     def test_layout_and_counts(self):
         nlp = transcribe_multiple_shooting(academic_problem(), 10)
         assert nlp.n_vars == 11 * 1 + 10 * 1
-        assert nlp.n_eq == 11
+        assert nlp.eq_fun(np.zeros(nlp.n_vars)).size == 11
         assert nlp.A_ineq.shape == (21, 21)
 
     def test_constant_dynamics_identity_step(self):
@@ -267,7 +269,10 @@ class TestMultipleShooting:
         ocp = OcpProblem(
             n_x=1, n_u=1,
             dynamics=lambda x, u: -x,
+            dynamics_jacobians=(lambda x, u: -np.eye(1), lambda x, u: np.zeros((1, 1))),
             stage_cost=lambda x, u: 0.0,
+            stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
+            stage_cost_hess=lambda x, u: (np.zeros((1, 1)),) * 3,
             x_lower=np.array([-np.inf]), x_upper=np.array([np.inf]),
             u_lower=np.array([0.0]), u_upper=np.array([0.0]),
             x0=np.array([1.0]), t0=0.0, tf=1.0,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from socenv.errors import SingularCurvilinearError
+from socenv.analysis import dense_violation_scan, solve_method
+from socenv.errors import DomainError, SingularCurvilinearError
+from socenv.nlp import kkt_certificate
 from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
                             avp_problem_from_config, avp_reference, avp_stage_cost,
                             avp_stage_cost_grad, avp_stage_cost_hess,
@@ -57,6 +59,9 @@ class TestDynamics:
         x = np.zeros(N_STATES)
         x[4] = 2.0   # 1 - kappa*w = 0
         with pytest.raises(SingularCurvilinearError):
+            vehicle_dynamics(x, np.zeros(N_INPUTS), p)
+        # A domain error, so the SQP line search rejects such a trial point.
+        with pytest.raises(DomainError):
             vehicle_dynamics(x, np.zeros(N_INPUTS), p)
 
     def test_curved_road_changes_s_rate(self):
@@ -242,3 +247,13 @@ class TestAvpProblem:
         ocp = avp_problem(VehicleParams(w_min=-2.5, w_max=2.995))
         assert ocp.x_lower[4] == pytest.approx(-2.5)
         assert ocp.x_upper[4] == pytest.approx(2.995)
+
+    def test_curved_track_socse_solve(self):
+        """A SOCSE-3 solve on a kappa(s) = 0.02 s centreline converges and certifies."""
+        ocp = avp_problem(VehicleParams(curvature=lambda s: 0.02 * s,
+                                        curvature_deriv=lambda s: 0.02))
+        rep, sol, nlp, z = solve_method(ocp, "SOCSE-3")
+        assert rep.status == "converged"
+        cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
+        assert cert["stationarity"] <= 1e-4
+        assert dense_violation_scan(sol, ocp)["max"] <= 1e-6
