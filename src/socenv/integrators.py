@@ -14,11 +14,8 @@ def rk4_step(f, x, u, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step_timed(f, x, u_of_t, t, h):
-    """One RK4 step with the control sampled at the stage times."""
-    u0 = u_of_t(t)
-    um = u_of_t(t + 0.5 * h)
-    u1 = u_of_t(t + h)
+def rk4_step_timed(f, x, u0, um, u1, h):
+    """One RK4 step with the control sampled at the stage times t, t + h/2, t + h."""
     k1 = f(x, u0)
     k2 = f(x + 0.5 * h * k1, um)
     k3 = f(x + 0.5 * h * k2, um)

@@ -215,13 +215,23 @@ def eval_spline_deriv(alpha: np.ndarray, basis: LegendreBasisMatrix, tau: float)
 
 
 def spline_samples(alpha: np.ndarray, basis: LegendreBasisMatrix, taus: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at many taus; returns (len(taus), d)."""
+    """Vectorized evaluation at many taus; returns (len(taus), d).
+
+    The monomial coefficients ``L^T alpha`` are evaluated by Horner's rule
+    elementwise, so each row depends only on its own tau: sampling many points
+    at once gives bitwise the values of sampling them one at a time.
+    """
     taus = np.asarray(taus, dtype=float)
     if taus.size and np.max(np.abs(taus)) > 1.0 + _TAU_SLACK:
         raise DomainError("sample points outside [-1, 1]")
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(basis.M + 1, -1))
-    V = np.vander(taus, basis.M + 1, increasing=True)
-    return V @ basis.L.T @ alpha
+    C = basis.L.T @ alpha
+    out = np.empty((C.shape[1], taus.size))   # channel-major, so each pass is contiguous
+    out[:] = C[-1][:, None]
+    for c in C[-2::-1]:
+        out *= taus
+        out += c[:, None]
+    return out.T
 
 
 def legendre_values(basis: LegendreBasisMatrix, tau: float) -> np.ndarray:

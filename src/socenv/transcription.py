@@ -230,12 +230,14 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
 
     hessian = None
     if ocp.terminal_cost is None:
+        phi_outer = phi_nodes[:, :, None] * phi_nodes[:, None, :]   # (N, M+1, M+1)
+
         def hessian(z):
             _, X, U = node_values(z)
             Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
                            for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
-            H = np.einsum("i,iab,ik,il->akbl", scale * w, Hl, phi_nodes, phi_nodes)
-            return H.reshape(layout.n_vars, layout.n_vars)
+            H = np.tensordot((scale * w)[:, None, None] * Hl, phi_outer, axes=(0, 0))
+            return H.transpose(0, 2, 1, 3).reshape(layout.n_vars, layout.n_vars)
 
     def eq_fun(z):
         ax, X, U = node_values(z)

@@ -28,6 +28,7 @@ All numeric parameter defaults are artifact-chosen compact-EV-scale values
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -36,7 +37,7 @@ import numpy as np
 import sympy as sp
 import yaml
 
-from .errors import SingularCurvilinearError
+from .errors import DomainError, SingularCurvilinearError
 from .ocp import OcpProblem
 
 N_STATES = 10
@@ -114,7 +115,11 @@ class VehicleParams:
 
 @lru_cache(maxsize=8)
 def _build_model(key: tuple):
-    """Symbolic fused model; returns lambdified (f, df/dx, df/du, df/dkappa)."""
+    """Symbolic fused model; returns lambdified (f, df/dx, df/du, df/dkappa).
+
+    f takes and returns floats (a list of the 10 derivatives); the others are
+    numpy functions.
+    """
     (mass, iz, lf, lr, caf, car, a_max, split, c0, c2, eps) = key
     vx, vy, r, s, w, th, wp, thp, dl, tr = sp.symbols(
         "vx vy r s w th wp thp dl tr", real=True)
@@ -165,7 +170,9 @@ def _build_model(key: tuple):
 
     f = lam * f_dyn + (1 - lam) * f_kin
     args = x_syms + u_syms + [kap, lam]
-    f_fun = sp.lambdify(args, f, "numpy")
+    # f is called one point at a time (RK4 stages, collocation nodes): plain
+    # floats through the math module cost a third of a numpy evaluation.
+    f_fun = sp.lambdify(args, list(f), "math", cse=True)
     jx_fun = sp.lambdify(args, f.jacobian(x_syms), "numpy")
     ju_fun = sp.lambdify(args, f.jacobian(u_syms), "numpy")
     fk_fun = sp.lambdify(args, f.diff(kap), "numpy")
@@ -184,10 +191,22 @@ def _model_args(x, u, p: VehicleParams):
 
 
 def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
-    """Fused state derivative; raises SingularCurvilinearError at 1 - kappa*w ~ 0."""
+    """Fused state derivative.
+
+    Raises a DomainError where the model is undefined: SingularCurvilinearError
+    at 1 - kappa*w ~ 0, and a plain DomainError at a non-finite state or
+    control, or where the model overflows or leaves a math-function domain.
+    """
     x, u, kap = _model_args(x, u, p)
     f_fun, _, _, _ = _build_model(p._model_key())
-    return np.asarray(f_fun(*x, *u, kap, p.fusion_lambda), dtype=float).ravel()
+    args = x.tolist() + u.tolist()
+    try:
+        xdot = f_fun(*args, kap, p.fusion_lambda)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"vehicle model undefined: {exc}") from exc
+    if not math.isfinite(sum(args) + sum(xdot)):
+        raise DomainError("vehicle model not finite at this state and control")
+    return np.array(xdot)
 
 
 def vehicle_jacobian_x(x, u, p: VehicleParams) -> np.ndarray:

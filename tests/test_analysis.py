@@ -12,9 +12,11 @@ from socenv.analysis import (BenchmarkRow, ReferenceTrajectory, _rollout,
                              rows_to_csv, rows_to_json, run_benchmark,
                              solve_method, trajectory_cost)
 from socenv.envelope import envelope_matrix
+from socenv.integrators import rk4_step_timed
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap, basis_matrix, lgl_grid, spline_samples
 from socenv.transcription import SplineSolution
+from socenv.vehicle import avp_problem
 
 
 def lq_unconstrained():
@@ -64,6 +66,19 @@ def fit_spline(fun, M, time_map):
     V = np.vander(taus, M + 1, increasing=True) @ basis.L.T
     vals = np.array([fun(time_map.t0 + time_map.scale() * (tau + 1.0)) for tau in taus])
     return np.linalg.solve(V, vals)[:, None]
+
+
+def per_step_rollout_error(sol, ocp, dt):
+    """The rollout metric with the splines sampled one point per call, on the same grid."""
+    n = int(round((ocp.tf - ocp.t0) / dt))
+    ts = np.minimum(ocp.t0 + 0.5 * dt * np.arange(2 * n + 1), ocp.tf)
+    x = ocp.x0.copy()
+    err = 0.0
+    for k in range(n):
+        u0, um, u1 = (sol.u_at(ts[j])[0] for j in (2 * k, 2 * k + 1, 2 * k + 2))
+        x = rk4_step_timed(ocp.dynamics, x, u0, um, u1, dt)
+        err = max(err, float(np.max(np.abs(x - sol.x_at(ts[2 * k + 2])[0]))))
+    return err
 
 
 def make_solution(alpha_x, alpha_u, M, time_map):
@@ -131,6 +146,41 @@ class TestRolloutError:
         sol = make_solution(np.ones((4, 1)), np.zeros((4, 1)), 3, tm)
         with pytest.raises(ValueError):
             ode_rollout_error(sol, ocp, dt=0.01)
+
+    @pytest.mark.parametrize("problem, method", [(academic_problem, "SOCSE-5"),
+                                                 (avp_problem, "SOCSE-3")])
+    def test_equals_a_per_step_rollout(self, problem, method):
+        """Sampling the splines in two calls gives bitwise the per-point result."""
+        ocp = problem()
+        _, sol, _, _ = solve_method(ocp, method)
+        assert ode_rollout_error(sol, ocp, dt=1e-3) == per_step_rollout_error(sol, ocp, 1e-3)
+
+    def test_last_stage_time_clamps_at_tf(self):
+        """With dt not dividing the horizon, the step grid overshoots tf and clamps."""
+        ocp = integrator_problem(0.0)
+        tm = TimeMap(0.0, 1.0)
+        sol = make_solution(fit_spline(lambda t: t, 3, tm), fit_spline(lambda t: 1.0 + 0.0 * t, 3, tm),
+                            3, tm)
+        seen = {}
+
+        def recording(name):
+            at = getattr(sol, name)
+
+            def sample(t):
+                seen[name] = np.asarray(t)
+                return at(t)
+            return sample
+
+        sol.x_at, sol.u_at = recording("x_at"), recording("u_at")
+        dt = 6.7e-4   # 1 / dt = 1492.5..., so n = 1493 steps end at 1.00031
+        # x = t and u = 1 agree up to tf; the last step overshoots the clamped state time.
+        assert ode_rollout_error(sol, ocp, dt=dt) == pytest.approx(1493 * dt - 1.0, abs=1e-12)
+        t_states, t_controls = seen["x_at"], seen["u_at"]
+        assert t_states.size == 1493 and t_controls.size == 2 * 1493 + 1
+        assert t_controls[0] == 0.0
+        for ts in (t_states, t_controls):
+            assert np.all(np.diff(ts) >= 0.0)
+            assert ts[-1] == tm.tf and ts[-2] < tm.tf
 
 
 class TestViolationScan:

@@ -241,14 +241,22 @@ class TestDecode:
         for i, t in enumerate(ts):
             x, u = sol.x_at(float(t)), sol.u_at(float(t))
             assert x.shape == (1, 1) and u.shape == (1, 1)
-            np.testing.assert_array_equal(x, sol.x_at(ts[i:i + 1]))
-            np.testing.assert_array_equal(u, sol.u_at(ts[i:i + 1]))
-            # A one-row BLAS product may round differently from an n-row one.
-            np.testing.assert_allclose(x, X[i:i + 1], rtol=0.0, atol=4 * np.finfo(float).eps)
-            np.testing.assert_allclose(u, U[i:i + 1], rtol=0.0, atol=4 * np.finfo(float).eps)
-        # Times just past tf clamp to the end of the spline, which the
-        # rollout's min(t, tf) relies on.
+            np.testing.assert_array_equal(x, X[i:i + 1])
+            np.testing.assert_array_equal(u, U[i:i + 1])
+        # Times just past tf clamp to the end of the spline.
         np.testing.assert_array_equal(sol.x_at(ocp.tf + 1e-13), sol.x_at(ocp.tf))
+
+    @pytest.mark.parametrize("problem, method", [(academic_problem, "SOCSE-8"),
+                                                 (avp_problem, "SOCSE-3")])
+    def test_rows_do_not_depend_on_the_point_count(self, problem, method):
+        """Each sampled row is bitwise the value of sampling its time alone."""
+        ocp = problem()
+        _, sol, _, _ = solve_method(ocp, method)
+        ts = np.random.default_rng(3).uniform(ocp.t0, ocp.tf, 257)
+        X, U = sol.x_at(ts), sol.u_at(ts)
+        for i, t in enumerate(ts):
+            np.testing.assert_array_equal(X[i], sol.x_at(t)[0])
+            np.testing.assert_array_equal(U[i], sol.u_at(t)[0])
 
 
 class TestMultipleShooting:
