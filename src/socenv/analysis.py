@@ -23,10 +23,14 @@ from .integrators import rk4_step, rk4_step_timed, rk4_step_jacobians
 from .nlp import MAX_ITERS, solve_sqp, kkt_certificate
 from .ocp import OcpProblem
 from .polynomial import TimeMap
-from .transcription import (CollocationConfig, SplineSolution, decode,
+from .transcription import (MS_SUBSTEPS, CollocationConfig, SplineSolution, decode,
                             transcribe, transcribe_multiple_shooting)
 
-MS_SUBSTEPS = 2   # RK4 substeps per multiple-shooting interval
+COST_POINTS = 4097      # odd, so the composite-Simpson weights close
+REF_INTERVALS = 1000    # reference control intervals, one RK4 step each
+REF_FTOL = 1e-12        # L-BFGS-B ftol of the reference solve
+REF_MAX_OUTER = 8       # augmented-Lagrangian rounds for the state box
+REF_STATE_TOL = 1e-8    # state-box violation the reference accepts
 
 
 @dataclass
@@ -56,15 +60,12 @@ class ReferenceTrajectory:
         return out
 
 
-def trajectory_cost(ocp: OcpProblem, x_at: Callable, u_at: Callable,
-                    n: int = 4097) -> float:
-    """Composite-Simpson integral of the stage cost along a dense trajectory.
+def trajectory_cost(ocp: OcpProblem, x_at: Callable, u_at: Callable) -> float:
+    """Composite-Simpson integral of the stage cost over ``COST_POINTS`` uniform times.
 
-    ``x_at``/``u_at`` must accept a vector of physical times.  ``n`` must be
-    odd so the Simpson weights close.
+    ``x_at``/``u_at`` must accept a vector of physical times.
     """
-    if n % 2 == 0:
-        n += 1
+    n = COST_POINTS
     ts = np.linspace(ocp.t0, ocp.tf, n)
     X = np.atleast_2d(x_at(ts))
     U = np.atleast_2d(u_at(ts))
@@ -93,22 +94,17 @@ def _rollout(ocp: OcpProblem, U: np.ndarray, K: int, substeps: int):
     return X
 
 
-def quasi_optimal_reference(ocp: OcpProblem, K_fine: int = 1000,
-                            substeps: int = 1, tol: float = 1e-12,
-                            max_outer: int = 8,
-                            state_tol: float = 1e-8) -> ReferenceTrajectory:
+def quasi_optimal_reference(ocp: OcpProblem) -> ReferenceTrajectory:
     """Fine-grid quasi-optimal trajectory for cost/control comparisons.
 
-    Piecewise-constant controls on ``K_fine`` intervals are optimized by
-    L-BFGS-B with discrete-adjoint gradients through the RK4 rollout; control
-    boxes enter as variable bounds, state boxes through an augmented-Lagrangian
-    outer loop (they are typically inactive on the bundled problems).
+    Piecewise-constant controls on ``REF_INTERVALS`` intervals, each one RK4
+    step, are optimized by L-BFGS-B with discrete-adjoint gradients through
+    the rollout; control boxes enter as variable bounds, state boxes through
+    an augmented-Lagrangian outer loop of at most ``REF_MAX_OUTER`` rounds
+    (they are typically inactive on the bundled problems).
     """
-    if K_fine < 1000:
-        raise ValueError("K_fine must be at least 1000")
-    K, n_x, n_u = K_fine, ocp.n_x, ocp.n_u
+    K, n_x, n_u = REF_INTERVALS, ocp.n_x, ocp.n_u
     dt = (ocp.tf - ocp.t0) / K
-    h = dt / substeps
 
     fx_fun, fu_fun = ocp.dynamics_jacobians
 
@@ -120,22 +116,14 @@ def quasi_optimal_reference(ocp: OcpProblem, K_fine: int = 1000,
     rho = 10.0
 
     def forward(U):
-        """Rollout caching per-step chained Jacobians for the adjoint pass."""
+        """Rollout caching the per-step Jacobians for the adjoint pass."""
         X = np.empty((K + 1, n_x))
         X[0] = ocp.x0
         jxs = np.empty((K, n_x, n_x))
         jus = np.empty((K, n_x, n_u))
         for k in range(K):
-            x = X[k]
-            jx = np.eye(n_x)
-            ju = np.zeros((n_x, n_u))
-            for _ in range(substeps):
-                x, sx, su = rk4_step_jacobians(ocp.dynamics, fx_fun, fu_fun, x, U[k], h)
-                jx = sx @ jx
-                ju = sx @ ju + su
-            X[k + 1] = x
-            jxs[k] = jx
-            jus[k] = ju
+            X[k + 1], jxs[k], jus[k] = rk4_step_jacobians(ocp.dynamics, fx_fun, fu_fun,
+                                                          X[k], U[k], dt)
         return X, jxs, jus
 
     def al_terms(xk, mlo, mhi):
@@ -174,32 +162,30 @@ def quasi_optimal_reference(ocp: OcpProblem, K_fine: int = 1000,
         return val, gU.ravel()
 
     bounds = [(ocp.u_lower[c], ocp.u_upper[c]) for c in range(n_u)] * K
-    bounds = [bounds[k * n_u + c] for k in range(K) for c in range(n_u)]
     u0 = np.tile(0.5 * (np.clip(ocp.u_lower, -1e3, 1e3)
                         + np.clip(ocp.u_upper, -1e3, 1e3)), K)
 
     uflat = u0
     total_iters = 0
-    res = None
-    for outer in range(max_outer):
+    for _ in range(REF_MAX_OUTER):
         res = minimize(fun_and_grad, uflat, jac=True, method="L-BFGS-B",
                        bounds=bounds,
-                       options={"maxiter": 2000, "ftol": tol, "gtol": 1e-10})
+                       options={"maxiter": 2000, "ftol": REF_FTOL, "gtol": 1e-10})
         uflat = res.x
         total_iters += int(res.nit)
         U = uflat.reshape(K, n_u)
-        X = _rollout(ocp, U, K, substeps)
+        X = _rollout(ocp, U, K, 1)
         v_lo = np.maximum(np.where(finite_lo, x_lo - X, -np.inf), 0.0)
         v_hi = np.maximum(np.where(finite_hi, X - x_hi, -np.inf), 0.0)
         worst = max(float(np.max(v_lo, initial=0.0)), float(np.max(v_hi, initial=0.0)))
-        if worst <= state_tol:
+        if worst <= REF_STATE_TOL:
             break
         mu_lo = np.maximum(mu_lo + rho * np.where(finite_lo, x_lo - X, 0.0), 0.0)
         mu_hi = np.maximum(mu_hi + rho * np.where(finite_hi, X - x_hi, 0.0), 0.0)
         rho *= 10.0
     else:
         raise NonConvergenceError("reference solve: state box not satisfied "
-                                  f"after {max_outer} outer iterations")
+                                  f"after {REF_MAX_OUTER} outer iterations")
 
     times = ocp.t0 + dt * np.arange(K + 1)
     ref = ReferenceTrajectory(times=times, states=X, controls=U,
@@ -292,7 +278,7 @@ def solve_method(ocp: OcpProblem, label: str, max_iters: int = MAX_ITERS):
     """
     family, order = parse_method(label)
     if family == "MS":
-        nlp = transcribe_multiple_shooting(ocp, order, substeps=MS_SUBSTEPS)
+        nlp = transcribe_multiple_shooting(ocp, order)
         z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters)
         lay = nlp.layout
         K = order

@@ -31,11 +31,14 @@ EXIT_USAGE = 2
 
 
 def _problem(ns: argparse.Namespace):
+    """The selected OCP, with the AVP model already built so no solve time includes it."""
     if ns.problem == "academic":
         if ns.config:
             raise ValueError("--config applies to --problem avp only")
         return academic_problem()
-    return avp_problem_from_config(ns.config) if ns.config else avp_problem()
+    ocp = avp_problem_from_config(ns.config) if ns.config else avp_problem()
+    ocp.dynamics(ocp.x0, np.zeros(ocp.n_u))
+    return ocp
 
 
 def _write(text: str, path: Optional[str]):
@@ -76,9 +79,8 @@ def cmd_envelope_demo(ns: argparse.Namespace) -> int:
 
 def cmd_solve(ns: argparse.Namespace) -> int:
     ocp = _problem(ns)
-    label = ns.method or f"SOCSE-{ns.degree or 8}"
-    rep, sol, nlp, z = solve_method(ocp, label, max_iters=ns.max_iters)
-    payload = {"config": vars(ns), "method": label,
+    rep, sol, nlp, z = solve_method(ocp, ns.method, max_iters=ns.max_iters)
+    payload = {"config": vars(ns), "method": ns.method,
                "report": {"status": rep.status, "iterations": rep.iterations,
                           "objective": rep.objective,
                           "max_eq_residual": rep.max_eq_residual,
@@ -160,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one problem with one method")
     p.add_argument("--problem", choices=("academic", "avp"), required=True)
-    p.add_argument("--method", help="method label, e.g. SOCSE-8, SOC-5, MS-50")
-    p.add_argument("--degree", type=_at_least(1), help="shorthand for SOCSE-<degree>")
+    p.add_argument("--method", default="SOCSE-8",
+                   help="method label, e.g. SOCSE-8 (default), SOC-5, MS-50")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
     p.add_argument("--max-iters", type=int, default=MAX_ITERS, dest="max_iters")

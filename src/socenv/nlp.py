@@ -319,12 +319,11 @@ def kkt_certificate(nlp: NlpProblem, z, lam_eq, mu_lin, mu_nl=None) -> dict:
     if nlp.A_ineq.shape[0]:
         mu_lin = np.asarray(mu_lin, dtype=float)
         r = r + nlp.A_ineq.T @ mu_lin
-        vals = nlp.A_ineq @ z
-        for j in range(nlp.A_ineq.shape[0]):
-            if mu_lin[j] > 0 and np.isfinite(nlp.ineq_upper[j]):
-                compl = max(compl, mu_lin[j] * abs(nlp.ineq_upper[j] - vals[j]))
-            elif mu_lin[j] < 0 and np.isfinite(nlp.ineq_lower[j]):
-                compl = max(compl, -mu_lin[j] * abs(vals[j] - nlp.ineq_lower[j]))
+        # A positive multiplier belongs to the upper side, a negative one to the lower.
+        side = np.where(mu_lin > 0, nlp.ineq_upper, nlp.ineq_lower)
+        held = (mu_lin != 0) & np.isfinite(side)
+        gaps = mu_lin[held] * (side[held] - (nlp.A_ineq @ z)[held])
+        compl = float(np.max(np.abs(gaps), initial=0.0))
     t_viol = 0.0
     if nlp.ineq_fun is not None:
         t = np.atleast_1d(nlp.ineq_fun(z))

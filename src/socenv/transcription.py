@@ -9,7 +9,7 @@ Two routes are provided:
   node-only scheme; ``pseudospectral`` mode is this with N = M + 1 nodes, the
   Lagrange-equivalent choice).
 * ``transcribe_multiple_shooting`` -- RK4 multiple shooting with
-  piecewise-constant controls.
+  piecewise-constant controls, ``MS_SUBSTEPS`` RK4 steps per interval.
 
 The stage-cost integral is evaluated as the full quadrature sum over all N
 nodes plus the terminal cost at the right endpoint; the terminal cost is not
@@ -37,18 +37,14 @@ from .polynomial import (
 )
 
 MODES = ("socse", "soc", "pseudospectral")
+MS_SUBSTEPS = 2   # RK4 steps per multiple-shooting interval
 
 
 @dataclass(frozen=True)
 class CollocationConfig:
-    """Spline degree M, collocation node count N and constraint mode.
-
-    ``N=None`` picks the default: N = M for socse/soc, N = M + 1 for
-    pseudospectral.
-    """
+    """Spline degree M and constraint mode; the node count N follows from them."""
 
     M: int
-    N: Optional[int] = None
     mode: str = "socse"
 
     def __post_init__(self):
@@ -56,10 +52,13 @@ class CollocationConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.M < 1:
             raise ValueError("spline degree must be at least 1")
-        if self.N is None:
-            object.__setattr__(self, "N", self.M + 1 if self.mode == "pseudospectral" else self.M)
         if self.N < 2:
             raise ValueError("need at least 2 collocation nodes")
+
+    @property
+    def N(self) -> int:
+        """Collocation nodes: M + 1 for pseudospectral, M otherwise."""
+        return self.M + 1 if self.mode == "pseudospectral" else self.M
 
     @property
     def node_only(self) -> bool:
@@ -284,29 +283,29 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     )
 
 
-def transcribe_multiple_shooting(ocp: OcpProblem, steps: int,
-                                 substeps: int = 1) -> NlpProblem:
-    """RK4 multiple-shooting NLP with piecewise-constant controls."""
+def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
+    """RK4 multiple-shooting NLP with piecewise-constant controls on ``steps`` intervals.
+
+    Each interval's state map is ``MS_SUBSTEPS`` RK4 steps.
+    """
     if steps < 1:
         raise ValueError("need at least one shooting interval")
-    if substeps < 1:
-        raise ValueError("substeps must be positive")
     layout = MsLayout(n_x=ocp.n_x, n_u=ocp.n_u, K=steps)
     n_x, n_u, K = ocp.n_x, ocp.n_u, steps
     dt = (ocp.tf - ocp.t0) / K
-    h = dt / substeps
+    h = dt / MS_SUBSTEPS
 
     fx_fun, fu_fun = ocp.dynamics_jacobians
 
     def step_map(x, u):
-        for _ in range(substeps):
+        for _ in range(MS_SUBSTEPS):
             x = rk4_step(ocp.dynamics, x, u, h)
         return x
 
     def step_map_jac(x, u):
         jx = np.eye(n_x)
         ju = np.zeros((n_x, n_u))
-        for _ in range(substeps):
+        for _ in range(MS_SUBSTEPS):
             x, sx, su = rk4_step_jacobians(ocp.dynamics, fx_fun, fu_fun, x, u, h)
             jx = sx @ jx
             ju = sx @ ju + su

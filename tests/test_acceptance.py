@@ -27,7 +27,7 @@ def report(name, passed, detail):
 
 @pytest.fixture(scope="module")
 def academic_reference():
-    return quasi_optimal_reference(academic_problem(), K_fine=1000)
+    return quasi_optimal_reference(academic_problem())
 
 
 @pytest.fixture(scope="module")

@@ -97,12 +97,6 @@ class TestTrajectoryCost:
                                lambda ts: np.zeros((np.asarray(ts).size, 1)))
         assert cost == pytest.approx(1.0 / 6.0, abs=1e-12)
 
-    def test_even_sample_count_is_fixed_up(self):
-        ocp = lq_unconstrained()
-        a = trajectory_cost(ocp, lambda ts: np.asarray(ts)[:, None],
-                            lambda ts: np.zeros((np.asarray(ts).size, 1)), n=100)
-        assert a == pytest.approx(1.0 / 6.0, abs=1e-10)
-
     def test_terminal_cost_added_unscaled(self):
         base = lq_unconstrained()
         ocp = OcpProblem(
@@ -207,7 +201,7 @@ class TestViolationScan:
 class TestQuasiOptimalReference:
     def test_matches_riccati_oracle(self):
         ocp = lq_unconstrained()
-        ref = quasi_optimal_reference(ocp, K_fine=1000)
+        ref = quasi_optimal_reference(ocp)
         P = riccati_oracle()
         j_star = 0.5 * float(P(1.0)[0])
         assert ref.cost == pytest.approx(j_star, rel=2e-5)
@@ -215,10 +209,6 @@ class TestQuasiOptimalReference:
         ts = ref.times[:-1] + 0.5 * np.diff(ref.times)
         u_star = -np.array([float(P(1.0 - t)[0]) for t in ts]) * ref.x_at(ts)[:, 0]
         assert np.max(np.abs(ref.controls[:, 0] - u_star)) < 2e-3
-
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError):
-            quasi_optimal_reference(academic_problem(), K_fine=100)
 
     def test_interpolants_hit_nodes(self):
         times = np.linspace(0.0, 1.0, 5)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socenv import analysis
-from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
+from socenv import analysis, vehicle
+from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, _problem, build_parser, main
 from socenv.nlp import MAX_ITERS
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml")
@@ -81,8 +81,7 @@ class TestEnvelopeDemo:
 
 class TestSolve:
     def test_academic_socse(self, capsys):
-        code, out, _ = run(capsys, ["solve", "--problem", "academic",
-                                    "--method", "SOCSE-8"])
+        code, out, _ = run(capsys, ["solve", "--problem", "academic"])   # SOCSE-8 by default
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["report"]["status"] == "converged"
@@ -93,12 +92,6 @@ class TestSolve:
         # Dense samples respect the box up to the scan tolerance.
         U = np.array(payload["u"])
         assert np.all(U >= -0.3 - 1e-6) and np.all(U <= -0.1 + 1e-6)
-
-    def test_degree_shorthand(self, capsys):
-        code, out, _ = run(capsys, ["solve", "--problem", "academic",
-                                    "--degree", "5"])
-        assert code == EXIT_OK
-        assert json.loads(out)["method"] == "SOCSE-5"
 
     def test_multiple_shooting_payload(self, capsys):
         code, out, _ = run(capsys, ["solve", "--problem", "academic",
@@ -123,6 +116,11 @@ class TestSolve:
                                     "--method", "MS-10", "--max-iters", "1"])
         assert code == EXIT_SOLVER
         assert json.loads(out)["report"]["status"] != "converged"
+
+    def test_avp_model_is_built_before_any_solve(self):
+        vehicle._build_model.cache_clear()
+        _problem(build_parser().parse_args(["bench", "--problem", "avp"]))
+        assert vehicle._build_model.cache_info().currsize == 1
 
     def test_avp_default_config(self, capsys):
         code, out, _ = run(capsys, ["solve", "--problem", "avp", "--config", DEFAULT_CONFIG,
@@ -193,6 +191,7 @@ class TestParser:
         ["nodes", "--nodes", "3", "--max-iters", "5"],
         ["nodes", "--nodes", "3", "--seed", "1"],
         ["envelope-demo", "--degree", "3", "--config", DEFAULT_CONFIG],
+        ["solve", "--problem", "academic", "--degree", "5"],
     ])
     def test_options_of_other_subcommands_are_unknown(self, capsys, argv):
         assert main(argv) == EXIT_USAGE

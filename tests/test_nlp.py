@@ -13,6 +13,7 @@ from socenv.nlp import (fd_gradient, fd_jacobian, kkt_certificate, qp_active_set
                         solve_sqp)
 from socenv.ocp import academic_problem
 from socenv.transcription import CollocationConfig, NlpProblem, transcribe
+from socenv.vehicle import avp_problem
 
 
 def brute_force_qp(H, g, A_eq, b_eq, A, lo, hi):
@@ -373,6 +374,24 @@ class TestSolveSqp:
     def test_rejects_bad_initial_shape(self):
         with pytest.raises(ValueError):
             solve_sqp(small_nlp(), np.zeros(3))
+
+    def test_identity_reset_after_failed_line_search(self):
+        """AVP SOCSE-3 from a seed-5 start: a line search fails at a KKT point.
+
+        At that point the step is tiny but not zero and no trial is accepted;
+        only the identity reset lets the next iteration see the converged KKT
+        point.  Without the reset the status is line_search_failure.
+        """
+        rng = np.random.default_rng(5)
+        x0 = np.zeros(10)
+        x0[0] = rng.uniform(0.8, 1.2)
+        x0[4] = rng.uniform(2.90, 2.99)
+        nlp = transcribe(avp_problem(x0=x0), CollocationConfig(M=3))
+        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars))
+        assert rep.status == "converged"
+        cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
+        assert cert["stationarity"] <= 1e-4
+        assert cert["eq_residual"] <= 1e-6
 
     def test_domain_error_at_trial_point_backtracks(self):
         """min (z-2)^2 with the objective undefined past z = 3: the first trial, z = 4, is rejected."""

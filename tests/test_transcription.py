@@ -82,7 +82,7 @@ class TestConfig:
 
 class TestDimensions:
     def test_academic_socse_counts(self):
-        nlp = transcribe(academic_problem(), CollocationConfig(M=8, N=8))
+        nlp = transcribe(academic_problem(), CollocationConfig(M=8))
         assert nlp.n_vars == 18          # (1 + 1) * (8 + 1)
         assert nlp.A_ineq.shape == (18, 18)
         z = np.zeros(18)
@@ -90,14 +90,14 @@ class TestDimensions:
         assert nlp.eq_jac(z).shape == (9, 18)
 
     def test_soc_node_only_rows(self):
-        nlp = transcribe(academic_problem(), CollocationConfig(M=5, N=8, mode="soc"))
-        assert nlp.A_ineq.shape[0] == 8 * (1 + 1)   # N * (n_x + n_u)
+        nlp = transcribe(academic_problem(), CollocationConfig(M=5, mode="soc"))
+        assert nlp.A_ineq.shape[0] == 5 * (1 + 1)   # N * (n_x + n_u), N = M
 
     def test_dof_violation(self):
         with pytest.raises(DofViolationError) as exc:
-            transcribe(academic_problem(), CollocationConfig(M=3, N=8))
-        assert exc.value.free_coeffs == 8    # (1 + 1) * (3 + 1)
-        assert exc.value.eq_rows == 9        # 1 * (8 + 1)
+            transcribe(avp_problem(), CollocationConfig(M=3, mode="pseudospectral"))
+        assert exc.value.free_coeffs == 48   # (10 + 2) * (3 + 1)
+        assert exc.value.eq_rows == 50       # 10 * (4 + 1), N = M + 1
 
 
 class TestDerivatives:
@@ -171,10 +171,17 @@ class TestMultiChannelDerivatives:
 
 class TestObjectiveQuadrature:
     def test_matches_dense_integral_for_polynomial_cost(self):
-        """Quadratic cost of a degree-M spline is exactly integrated for N = M."""
-        nlp = transcribe(academic_problem(), CollocationConfig(M=5, N=8))
+        """N = M LGL nodes integrate the quadratic cost of a degree-(M-2) spline exactly.
+
+        The rule is exact up to degree 2M - 3, so the coefficients above
+        degree M - 2 are zeroed.
+        """
+        nlp = transcribe(academic_problem(), CollocationConfig(M=5))
         rng = np.random.default_rng(4)
-        z = rng.standard_normal(nlp.n_vars)
+        ax, au = nlp.layout.decode(rng.standard_normal(nlp.n_vars))
+        ax[4:] = 0.0
+        au[4:] = 0.0
+        z = nlp.layout.encode(ax, au)
         sol = decode(z, nlp, TimeMap(0.0, 1.0))
         ts = np.linspace(0.0, 1.0, 20001)
         X, U = sol.x_at(ts), sol.u_at(ts)
@@ -286,7 +293,7 @@ class TestMultipleShooting:
             x0=np.array([1.0]), t0=0.0, tf=1.0,
         )
         K = 20
-        nlp = transcribe_multiple_shooting(ocp, K, substeps=4)
+        nlp = transcribe_multiple_shooting(ocp, K)
         lay = nlp.layout
         # Build the exact defect-free trajectory by rolling the residual to zero.
         z = np.zeros(nlp.n_vars)
@@ -298,7 +305,7 @@ class TestMultipleShooting:
         assert lay.states(z)[K, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_jacobian_matches_fd(self):
-        nlp = transcribe_multiple_shooting(academic_problem(), 5, substeps=2)
+        nlp = transcribe_multiple_shooting(academic_problem(), 5)
         rng = np.random.default_rng(7)
         z = rng.standard_normal(nlp.n_vars)
         np.testing.assert_allclose(nlp.eq_jac(z),
@@ -311,5 +318,3 @@ class TestMultipleShooting:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             transcribe_multiple_shooting(academic_problem(), 0)
-        with pytest.raises(ValueError):
-            transcribe_multiple_shooting(academic_problem(), 3, substeps=0)
