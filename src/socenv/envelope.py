@@ -26,8 +26,6 @@ from .polynomial import LegendreBasisMatrix
 @dataclass(frozen=True)
 class EnvelopeMatrices:
     M: int
-    B: np.ndarray
-    E: np.ndarray
     C: np.ndarray
 
 
@@ -65,10 +63,8 @@ def envelope_matrix(M: int, basis: LegendreBasisMatrix) -> EnvelopeMatrices:
     """Compose C = B @ E^T @ L^T for Legendre coefficients on [-1, 1]."""
     if basis.M != M:
         raise ValueError(f"basis degree {basis.M} does not match M={M}")
-    B = bernstein_matrix(M)
-    E = binomial_shift_matrix(M)
-    C = B @ E.T @ basis.L.T
-    return EnvelopeMatrices(M=M, B=B, E=E, C=C)
+    C = bernstein_matrix(M) @ binomial_shift_matrix(M).T @ basis.L.T
+    return EnvelopeMatrices(M=M, C=C)
 
 
 def control_values(alpha: np.ndarray, env: EnvelopeMatrices) -> np.ndarray:

@@ -3,12 +3,24 @@
 Targets small NLPs (tens to a few hundred variables) with smooth nonlinear
 equality constraints, two-sided linear inequalities ``lo <= A z <= hi`` and
 optional nonlinear inequalities ``t(z) <= 0``.  Derivatives are required:
-the objective gradient and the equality Jacobian come from the problem.  The
-Hessian is the problem's objective Hessian with its eigenvalues floored, or,
-only when the problem supplies none, a Powell-damped BFGS approximation.
+the objective gradient and the equality Jacobian come from the problem.
+
+One Hessian policy per problem: when it supplies an objective Hessian, the
+QP uses it with its eigenvalues floored at ``GN_FLOOR``, re-evaluated at
+every accepted point; when it supplies none, a Powell-damped BFGS
+approximation started from the identity.  Nothing switches between the two
+during a solve.
+
 Steps are globalized by a backtracking line search on an l1 exact-penalty
 merit function whose penalty is kept above the largest multiplier estimate;
-a trial point outside the model's domain is a rejected trial.  The QP
+a trial point outside the model's domain is a rejected trial.  f, c, t and
+the linear-row violation are evaluated once per point.
+
+One stopping rule: the point is a KKT point when its feasibility is at most
+``EQ_TOL`` and the Lagrangian gradient at the latest QP multipliers is at
+most ``KKT_TOL``.  It is tested after every accepted step, and when the QP
+step is zero or the line search accepts no trial; those two end the solve,
+as ``converged`` at a KKT point and ``line_search_failure`` elsewhere.  The QP
 subsolver uses null-space elimination of equalities, then dual active-set on
 inequalities.  Everything is deterministic: fixed pivoting rules, no
 randomness.
@@ -291,7 +303,7 @@ def _linear_violation(A, lo, hi, z):
     return np.maximum(np.maximum(r - hi, lo - r), 0.0)
 
 
-def _merit(f, c_eq, lin_viol, t_vals, sigma):
+def _merit(f, c_eq, t_vals, lin_viol, sigma):
     total = float(np.sum(np.abs(c_eq))) + float(np.sum(lin_viol))
     if t_vals is not None:
         total += float(np.sum(np.maximum(t_vals, 0.0)))
@@ -351,22 +363,26 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     has_nl = nlp.ineq_fun is not None
     nl_jac = _ineq_jac(nlp) if has_nl else None
 
-    f = nlp.objective(z)
-    g = nlp.gradient(z)
-    c = np.atleast_1d(nlp.eq_fun(z))
-    J = nlp.eq_jac(z)
-    t_vals = np.atleast_1d(nlp.ineq_fun(z)) if has_nl else None
-    Jt = nl_jac(z) if has_nl else None
+    def evaluate(zz):
+        """(f, c, t, linear-row violation) at zz; t is None without nonlinear inequalities."""
+        ff = nlp.objective(zz)
+        cc = np.atleast_1d(nlp.eq_fun(zz))
+        tt = np.atleast_1d(nlp.ineq_fun(zz)) if has_nl else None
+        return ff, cc, tt, _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, zz)
 
-    use_gn = nlp.hessian is not None
-
-    def gn_hessian(zz):
+    def model_hessian(zz):
+        """The problem's objective Hessian with its eigenvalues floored at GN_FLOOR."""
         Hm = np.asarray(nlp.hessian(zz), dtype=float)
         Hm = 0.5 * (Hm + Hm.T)
         wv, Vv = np.linalg.eigh(Hm)
         return (Vv * np.maximum(wv, GN_FLOOR)) @ Vv.T
 
-    B = gn_hessian(z) if use_gn else np.eye(n)
+    f, c, t_vals, lin_viol = evaluate(z)
+    g = nlp.gradient(z)
+    J = nlp.eq_jac(z)
+    Jt = nl_jac(z) if has_nl else None
+
+    B = model_hessian(z) if nlp.hessian is not None else np.eye(n)
     sigma = 1.0
     lam = np.zeros(c.size)
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
@@ -374,15 +390,13 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     relaxed = 0
     status = "max_iters"
     iters_done = 0
-    did_reset = False
 
-    def feasibility(zz, cc, tt):
-        viol = float(np.max(np.abs(cc), initial=0.0))
-        lv = _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, zz)
-        viol = max(viol, float(np.max(lv, initial=0.0)))
-        if tt is not None:
-            viol = max(viol, float(np.max(np.maximum(tt, 0.0), initial=0.0)))
-        return viol
+    def violations():
+        """(max |c|, max inequality violation) at the current point."""
+        ineq = float(np.max(lin_viol, initial=0.0))
+        if t_vals is not None:
+            ineq = max(ineq, float(np.max(np.maximum(t_vals, 0.0), initial=0.0)))
+        return float(np.max(np.abs(c), initial=0.0)), ineq
 
     def lagr_grad(gg, JJ, JJt):
         """Gradient of the Lagrangian at the current multiplier estimates."""
@@ -393,17 +407,60 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
             r = r + JJt.T @ nu_nl
         return r
 
-    def stationarity(gg, JJ, JJt):
-        return float(np.max(np.abs(lagr_grad(gg, JJ, JJt)), initial=0.0))
+    def kkt_point():
+        """The stopping test: feasible and stationary at the latest QP multipliers."""
+        return (max(violations()) <= EQ_TOL
+                and float(np.max(np.abs(lagr_grad(g, J, Jt)), initial=0.0)) <= KKT_TOL)
+
+    def line_search(d):
+        """Backtrack on the l1 merit along d, trying one second-order correction.
+
+        Returns (alpha, accepted point, its ``evaluate`` values), or None when
+        no trial within MAX_BACKTRACKS is accepted.
+        """
+        merit0 = _merit(f, c, t_vals, lin_viol, sigma)
+        viol1_0 = (merit0 - f) / sigma
+        descent = float(g @ d) - sigma * viol1_0
+
+        def try_point(z_try):
+            """Values and merit at a trial point; a point outside the model's domain has none."""
+            try:
+                vals = evaluate(z_try)
+            except DomainError:
+                return None, np.inf
+            return vals, _merit(*vals, sigma)
+
+        alpha = 1.0
+        tried_soc = False
+        for _ in range(MAX_BACKTRACKS):
+            z_try = z + alpha * d
+            vals, m_try = try_point(z_try)
+            bound = merit0 + LS_ARMIJO * alpha * min(descent, 0.0)
+            if m_try <= bound:
+                return alpha, z_try, vals
+            if not tried_soc and c.size and vals is not None:
+                # Second-order correction: the full step satisfies the
+                # linearized equalities but curvature reinflates |c|; a
+                # minimum-norm correction restoring J dc = -c(z+d) often
+                # recovers the full step (Maratos remedy).
+                tried_soc = True
+                try:
+                    dc = J.T @ np.linalg.solve(J @ J.T, -vals[1])
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    z_soc = z_try + alpha * dc
+                    vals_soc, m_soc = try_point(z_soc)
+                    if m_soc <= bound:
+                        return alpha, z_soc, vals_soc
+            alpha *= LS_BACKTRACK
+        return None
 
     for it in range(1, max_iters + 1):
-        iters_done = it
-
-        feas = feasibility(z, c, t_vals)
-        if it > 1 and feas <= EQ_TOL and stationarity(g, J, Jt) <= KKT_TOL:
+        if it > 1 and kkt_point():
             status = "converged"
-            iters_done = it - 1
             break
+        iters_done = it
 
         # Assemble the QP in the step d: linear rows are shifted to the
         # current point, nonlinear inequalities are linearized.
@@ -440,77 +497,20 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         if sigma < needed:
             sigma = max(needed, sigma * PENALTY_GROWTH)
 
-        if float(np.max(np.abs(d), initial=0.0)) < 1e-13:
-            if feas <= EQ_TOL and stationarity(g, J, Jt) <= KKT_TOL:
-                status = "converged"
-            else:
-                status = "line_search_failure"
+        # A zero step or a failed line search ends the solve, converged only at a KKT point.
+        step = line_search(d) if float(np.max(np.abs(d), initial=0.0)) >= 1e-13 else None
+        if step is None:
+            status = "converged" if kkt_point() else "line_search_failure"
             break
-
-        lin_viol0 = _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, z)
-        merit0 = _merit(f, c, lin_viol0, t_vals, sigma)
-        viol1_0 = (merit0 - f) / sigma
-        descent = float(g @ d) - sigma * viol1_0
-
-        def try_point(z_try):
-            """Values and merit at a trial point; a point outside the model's domain has none."""
-            try:
-                f_try = nlp.objective(z_try)
-                c_try = np.atleast_1d(nlp.eq_fun(z_try))
-                t_try = np.atleast_1d(nlp.ineq_fun(z_try)) if has_nl else None
-            except DomainError:
-                return None, None, None, np.inf
-            lv_try = _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, z_try)
-            return f_try, c_try, t_try, _merit(f_try, c_try, lv_try, t_try, sigma)
-
-        alpha = 1.0
-        accepted = False
-        tried_soc = False
-        for _ in range(MAX_BACKTRACKS):
-            z_try = z + alpha * d
-            f_try, c_try, t_try, m_try = try_point(z_try)
-            bound = merit0 + LS_ARMIJO * alpha * min(descent, 0.0)
-            if m_try <= bound:
-                accepted = True
-                break
-            if not tried_soc and c.size and c_try is not None:
-                # Second-order correction: the full step satisfies the
-                # linearized equalities but curvature reinflates |c|; a
-                # minimum-norm correction restoring J dc = -c(z+d) often
-                # recovers the full step (Maratos remedy).
-                tried_soc = True
-                JJt_mat = J @ J.T
-                try:
-                    dc = J.T @ np.linalg.solve(JJt_mat, -c_try)
-                except np.linalg.LinAlgError:
-                    dc = None
-                if dc is not None:
-                    z_soc = z_try + alpha * dc
-                    f_s, c_s, t_s, m_s = try_point(z_soc)
-                    if m_s <= bound:
-                        z_try, f_try, c_try, t_try = z_soc, f_s, c_s, t_s
-                        accepted = True
-                        break
-            alpha *= LS_BACKTRACK
-        if not accepted:
-            if not did_reset:
-                # Curvature information is poor; restart from the identity
-                # (and fall back to BFGS updating if a model Hessian was used).
-                use_gn = False
-                B = np.eye(n)
-                did_reset = True
-                continue
-            status = "line_search_failure"
-            break
-        did_reset = False
+        alpha, z_try, vals = step
 
         s = alpha * d
         g_new = nlp.gradient(z_try)
         J_new = nlp.eq_jac(z_try)
         Jt_new = nl_jac(z_try) if has_nl else None
 
-        if use_gn:
-            B = gn_hessian(z_try)
+        if nlp.hessian is not None:
+            B = model_hessian(z_try)
         else:
             y = lagr_grad(g_new, J_new, Jt_new) - lagr_grad(g, J, Jt)
             Bs = B @ s
@@ -525,19 +525,16 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
                     B = B + np.outer(y, y) / sy - np.outer(Bs, Bs) / sBs
                     B = 0.5 * (B + B.T)
 
-        z, f, g, c, J = z_try, f_try, g_new, c_try, J_new
-        t_vals, Jt = t_try, Jt_new
+        z, g, J, Jt = z_try, g_new, J_new, Jt_new
+        f, c, t_vals, lin_viol = vals
 
+    max_eq_residual, max_ineq_violation = violations()
     report = SolveReport(
         status=status,
         iterations=iters_done,
         objective=float(f),
-        max_eq_residual=float(np.max(np.abs(c), initial=0.0)),
-        max_ineq_violation=max(
-            float(np.max(_linear_violation(nlp.A_ineq, nlp.ineq_lower,
-                                           nlp.ineq_upper, z), initial=0.0)),
-            float(np.max(np.maximum(t_vals, 0.0), initial=0.0)) if t_vals is not None else 0.0,
-        ),
+        max_eq_residual=max_eq_residual,
+        max_ineq_violation=max_ineq_violation,
         wall_time=time.perf_counter() - t_start,
         relaxed_qp_steps=relaxed,
         lam_eq=lam,

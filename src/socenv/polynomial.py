@@ -33,10 +33,6 @@ class MonomialPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
 
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
-
     def __call__(self, tau):
         # Horner evaluation, vectorized over tau.
         tau = np.asarray(tau, dtype=float)
@@ -44,12 +40,6 @@ class MonomialPoly:
         for a in self.coeffs[::-1]:
             out = out * tau + a
         return out
-
-    def deriv(self) -> "MonomialPoly":
-        c = self.coeffs
-        if c.size <= 1:
-            return MonomialPoly(np.zeros(1))
-        return MonomialPoly(c[1:] * np.arange(1, c.size))
 
 
 @dataclass(frozen=True)
@@ -205,13 +195,6 @@ def eval_spline(alpha: np.ndarray, basis: LegendreBasisMatrix, tau: float) -> np
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(basis.M + 1, -1))
     tau = _check_tau(tau)
     return alpha.T @ (basis.L @ _monomial_vector(basis.M, tau))
-
-
-def eval_spline_deriv(alpha: np.ndarray, basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
-    """Reference-time derivative ``alpha^T L v'(tau)`` (caller rescales to physical time)."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(basis.M + 1, -1))
-    tau = _check_tau(tau)
-    return alpha.T @ (basis.L @ _monomial_deriv_vector(basis.M, tau))
 
 
 def spline_samples(alpha: np.ndarray, basis: LegendreBasisMatrix, taus: np.ndarray) -> np.ndarray:

@@ -124,8 +124,10 @@ class MsLayout:
 class NlpProblem:
     """Dense NLP: smooth objective, nonlinear equalities, linear two-sided inequalities.
 
-    The gradient and the equality Jacobian are required.  Without a
-    ``hessian`` the solver uses damped BFGS.
+    The gradient and the equality Jacobian are required.  ``hessian(z)`` is
+    the objective's Hessian: the solver floors its eigenvalues and uses it at
+    every accepted point.  Without one the solver uses damped BFGS from the
+    identity for the whole solve.
     """
 
     n_vars: int

@@ -71,8 +71,8 @@ class VehicleParams:
     v_eps: float = 0.1            # m/s, smooth floor for slip-angle divisions
     fusion_lambda: float = 0.2    # dynamic/kinematic blend in [0, 1]
     kappa_const: float = 0.0      # 1/m, centerline curvature when no callback set
-    curvature: Optional[Callable[[float], float]] = None
-    curvature_deriv: Optional[Callable[[float], float]] = None
+    curvature: Optional[Callable[[float], float]] = None        # kappa(s), 1/m
+    curvature_deriv: Optional[Callable[[float], float]] = None  # dkappa/ds, given with curvature
     w_min: float = -3.0           # m, right track limit
     w_max: float = 3.0            # m, left track limit
     s_target: float = 8.0         # m, parking-spot arc length
@@ -84,6 +84,8 @@ class VehicleParams:
     q_theta_p: float = 1.0
 
     def __post_init__(self):
+        if (self.curvature is None) != (self.curvature_deriv is None):
+            raise ValueError("curvature and curvature_deriv must be given together")
         self.Q = np.asarray(self.Q, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
         for name in ("mass", "inertia_z", "l_f", "l_r", "c_alpha_f", "c_alpha_r",
@@ -274,12 +276,6 @@ def avp_stage_cost_hess(x, u, x_ref, p: VehicleParams):
     lxx[6, 6] += (1.0 - gate) * 2.0 * p.q_wp
     lxx[7, 7] += (1.0 - gate) * 2.0 * p.q_theta_p
     return lxx, np.zeros((N_STATES, N_INPUTS)), 2.0 * p.R.copy()
-
-
-def cart_to_curvilinear(X, Y, psi, Xc, Yc, psi_c):
-    """Cartesian pose to (lateral deviation, heading error) at a centerline point."""
-    w = (Y - Yc) * np.cos(psi_c) - (X - Xc) * np.sin(psi_c)
-    return float(w), float(psi - psi_c)
 
 
 def avp_reference(p: VehicleParams) -> np.ndarray:

@@ -375,14 +375,15 @@ class TestSolveSqp:
         with pytest.raises(ValueError):
             solve_sqp(small_nlp(), np.zeros(3))
 
-    def test_identity_reset_after_failed_line_search(self):
-        """AVP SOCSE-3 from a seed-5 start: a line search fails at a KKT point.
+    @pytest.mark.parametrize("seed", [5, 27, 98])
+    def test_kkt_exit_after_failed_line_search(self, seed):
+        """AVP SOCSE-3 from a perfbench-seeded start: a line search fails at a KKT point.
 
-        At that point the step is tiny but not zero and no trial is accepted;
-        only the identity reset lets the next iteration see the converged KKT
-        point.  Without the reset the status is line_search_failure.
+        At that point the QP step is tiny but not zero and no trial is
+        accepted.  The point is feasible and stationary at the QP's fresh
+        multipliers, so the failed line search ends the solve as converged.
         """
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(seed)
         x0 = np.zeros(10)
         x0[0] = rng.uniform(0.8, 1.2)
         x0[4] = rng.uniform(2.90, 2.99)
@@ -392,6 +393,22 @@ class TestSolveSqp:
         cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
         assert cert["stationarity"] <= 1e-4
         assert cert["eq_residual"] <= 1e-6
+
+    def test_line_search_failure_away_from_kkt_point(self):
+        """Every trial point is outside the domain, so the first line search
+        fails at the infeasible start and the solve ends there."""
+        nlp = small_nlp()
+        z0 = np.zeros(2)
+
+        def obj(z):
+            if np.any(z != z0):
+                raise DomainError(f"z={z} outside the model's domain")
+            return 0.5 * float(z @ z)
+        nlp.objective = obj
+        z, rep = solve_sqp(nlp, z0)
+        assert rep.status == "line_search_failure"
+        assert rep.iterations == 1
+        assert np.array_equal(z, z0)
 
     def test_domain_error_at_trial_point_backtracks(self):
         """min (z-2)^2 with the objective undefined past z = 3: the first trial, z = 4, is rejected."""

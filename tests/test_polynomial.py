@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from socenv.errors import DomainError
 from socenv.polynomial import (MAX_DEGREE, MonomialPoly, TimeMap, basis_matrix,
-                               eval_spline, eval_spline_deriv, legendre_coeffs,
+                               eval_spline, legendre_coeffs,
                                legendre_deriv_values, legendre_values, lgl_grid,
                                quadrature, spline_samples)
 
@@ -145,7 +145,6 @@ class TestSplineEvaluation:
         alpha = np.array([[2.0], [0.5]])   # 2 + 0.5*tau
         assert eval_spline(alpha, basis, -1.0)[0] == pytest.approx(1.5)
         assert eval_spline(alpha, basis, 1.0)[0] == pytest.approx(2.5)
-        assert eval_spline_deriv(alpha, basis, 0.3)[0] == pytest.approx(0.5)
 
     def test_domain_guard(self):
         basis = basis_matrix(2)
@@ -187,11 +186,9 @@ class TestSplineEvaluation:
 
 
 class TestMonomialPoly:
-    def test_horner_and_derivative(self):
+    def test_horner(self):
         p = MonomialPoly(coeffs=(1.0, -2.0, 3.0))   # 1 - 2t + 3t^2
         assert p(2.0) == pytest.approx(9.0)
-        assert p.deriv()(2.0) == pytest.approx(10.0)
-        assert p.degree() == 2
 
 
 class TestTimeMap:

@@ -8,9 +8,8 @@ from socenv.errors import DomainError, SingularCurvilinearError
 from socenv.nlp import kkt_certificate
 from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
                             avp_problem_from_config, avp_reference, avp_stage_cost,
-                            avp_stage_cost_grad, avp_stage_cost_hess,
-                            cart_to_curvilinear, load_config, vehicle_dynamics,
-                            vehicle_jacobians, vehicle_params_from_dict)
+                            avp_stage_cost_grad, avp_stage_cost_hess, load_config,
+                            vehicle_dynamics, vehicle_jacobians, vehicle_params_from_dict)
 
 P = VehicleParams()
 
@@ -202,20 +201,6 @@ class TestStageCost:
         np.testing.assert_allclose(lxu, 0.0, atol=0.0)
 
 
-class TestCurvilinearTransform:
-    def test_coincident_pose(self):
-        assert cart_to_curvilinear(0, 0, 0, 0, 0, 0) == (0.0, 0.0)
-
-    def test_lateral_offset(self):
-        w, th = cart_to_curvilinear(0.0, 2.99, 0.1, 0.0, 0.0, 0.0)
-        assert w == pytest.approx(2.99)
-        assert th == pytest.approx(0.1)
-
-    def test_rotated_centerline(self):
-        w, _ = cart_to_curvilinear(1.0, 0.0, 0.0, 0.0, 0.0, np.pi / 2)
-        assert w == pytest.approx(-1.0)
-
-
 class TestParamsValidation:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
@@ -234,6 +219,12 @@ class TestParamsValidation:
     def test_rejects_singular_r(self):
         with pytest.raises(ValueError):
             VehicleParams(R=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("given", ["curvature", "curvature_deriv"])
+    def test_curvature_needs_its_derivative(self, given):
+        """A curvature without its s-derivative would drop the chain-rule term of df/ds."""
+        with pytest.raises(ValueError, match="curvature_deriv"):
+            VehicleParams(**{given: lambda s: 0.05 * s})
 
 
 class TestConfig:
