@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``polynomial`` -- Legendre bases, LGL grids, quadrature, spline evaluation.
+* ``polynomial`` -- Legendre bases, LGL grids and weights, spline evaluation.
 * ``envelope`` -- Bernstein-form envelope matrices bounding a spline everywhere.
 * ``ocp`` / ``vehicle`` -- problem models (scalar benchmark, curvilinear
   single-track vehicle).

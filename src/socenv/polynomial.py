@@ -1,4 +1,4 @@
-"""Legendre polynomial bases, LGL spectral grids, quadrature and spline evaluation.
+"""Legendre polynomial bases, LGL grids with quadrature weights, and spline evaluation.
 
 Everything here lives on the reference interval [-1, 1].  A trajectory channel
 is represented as a Legendre series ``x(tau) = alpha^T @ L @ v(tau)`` where
@@ -225,11 +225,3 @@ def legendre_values(basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
 def legendre_deriv_values(basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
     """Vector [P_0'(tau), ..., P_M'(tau)]."""
     return basis.L @ _monomial_deriv_vector(basis.M, _check_tau(tau))
-
-
-def quadrature(values: np.ndarray, grid: SpectralGrid) -> float:
-    """Weighted node sum ``sum_i w_i values_i`` approximating the [-1, 1] integral."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != grid.N:
-        raise ValueError(f"expected {grid.N} values, got {values.shape[0]}")
-    return float(grid.weights @ values)

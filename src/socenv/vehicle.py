@@ -18,8 +18,9 @@ vehicle can start from and come to rest:
     xdot = lam * f_dyn(x, u) + (1 - lam) * f_kin(x, u)
 
 The model and its Jacobians are derived symbolically once per parameter set
-and lambdified; the curvature profile kappa_c(s) enters as a runtime argument
-with its s-derivative folded into the Jacobian by the chain rule.
+and compiled into two math-module functions: f, and (df/dx, df/du) in one
+call. The curvature kappa_c(s) and its s-derivative kappa' enter as runtime
+arguments; kappa' scales the df/dkappa term of the chain rule in df/ds.
 
 All numeric parameter defaults are artifact-chosen compact-EV-scale values
 (the benchmark properties do not depend on the exact numbers); see
@@ -104,11 +105,6 @@ class VehicleParams:
     def kappa_at(self, s: float) -> float:
         return self.curvature(s) if self.curvature is not None else self.kappa_const
 
-    def dkappa_at(self, s: float) -> float:
-        if self.curvature_deriv is not None:
-            return self.curvature_deriv(s)
-        return 0.0
-
     def _model_key(self) -> tuple:
         return (self.mass, self.inertia_z, self.l_f, self.l_r, self.c_alpha_f,
                 self.c_alpha_r, self.a_max, self.drive_split, self.roll_resist,
@@ -117,16 +113,18 @@ class VehicleParams:
 
 @lru_cache(maxsize=8)
 def _build_model(key: tuple):
-    """Symbolic fused model; returns lambdified (f, df/dx, df/du, df/dkappa).
+    """Symbolic fused model, compiled once into two math-module functions.
 
-    f takes and returns floats (a list of the 10 derivatives); the others are
-    numpy functions.
+    f_fun(*x, *u, kappa, lambda) returns the 10 derivatives. jac_fun takes the
+    same arguments plus dkappa/ds and returns df/dx (10x10) then df/du (10x2),
+    each flattened row by row. Both take and return plain floats; a structural
+    zero comes back as the int 0.
     """
     (mass, iz, lf, lr, caf, car, a_max, split, c0, c2, eps) = key
     vx, vy, r, s, w, th, wp, thp, dl, tr = sp.symbols(
         "vx vy r s w th wp thp dl tr", real=True)
     u1, u2 = sp.symbols("u1 u2", real=True)   # u = [t_r_dot, delta_dot]
-    kap, lam = sp.symbols("kap lam", real=True)
+    kap, dkap, lam = sp.symbols("kap dkap lam", real=True)
 
     x_syms = [vx, vy, r, s, w, th, wp, thp, dl, tr]
     u_syms = [u1, u2]
@@ -171,25 +169,38 @@ def _build_model(key: tuple):
     ])
 
     f = lam * f_dyn + (1 - lam) * f_kin
+    # kappa_c depends on s, so the s-column of df/dx carries the chain-rule
+    # term df/dkappa * dkappa/ds, with dkappa/ds passed in at run time.
+    jac_x = f.jacobian(x_syms)
+    jac_x[:, 3] += f.diff(kap) * dkap
     args = x_syms + u_syms + [kap, lam]
-    # f is called one point at a time (RK4 stages, collocation nodes): plain
-    # floats through the math module cost a third of a numpy evaluation.
+    # The model is called one point at a time (RK4 stages, collocation nodes):
+    # plain floats through the math module cost a third of a numpy evaluation.
     f_fun = sp.lambdify(args, list(f), "math", cse=True)
-    jx_fun = sp.lambdify(args, f.jacobian(x_syms), "numpy")
-    ju_fun = sp.lambdify(args, f.jacobian(u_syms), "numpy")
-    fk_fun = sp.lambdify(args, f.diff(kap), "numpy")
-    return f_fun, jx_fun, ju_fun, fk_fun
+    jac_fun = sp.lambdify(args + [dkap], list(jac_x) + list(f.jacobian(u_syms)),
+                          "math", cse=True)
+    return f_fun, jac_fun
 
 
-def _model_args(x, u, p: VehicleParams):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    kap = p.kappa_at(float(x[3]))
-    if abs(1.0 - kap * float(x[4])) < _SINGULARITY_TOL:
-        raise SingularCurvilinearError(
-            f"1 - kappa*w = {1.0 - kap * float(x[4]):.3e} at s={x[3]:.3f}"
-        )
-    return x, u, kap
+def _model_point(x, u, p: VehicleParams) -> list:
+    """[*x, *u, kappa(s), lambda] as floats, checked for the 1 - kappa*w singularity."""
+    point = np.asarray(x, dtype=float).tolist() + np.asarray(u, dtype=float).tolist()
+    s, w = point[3], point[4]
+    kap = p.kappa_at(s)
+    if abs(1.0 - kap * w) < _SINGULARITY_TOL:
+        raise SingularCurvilinearError(f"1 - kappa*w = {1.0 - kap * w:.3e} at s={s:.3f}")
+    return point + [kap, p.fusion_lambda]
+
+
+def _evaluate(fun, args: list) -> np.ndarray:
+    """fun(*args) as a float array; DomainError where it overflows, fails or is not finite."""
+    try:
+        out = fun(*args)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"vehicle model undefined: {exc}") from exc
+    if not math.isfinite(sum(args) + sum(out)):
+        raise DomainError("vehicle model not finite at this state and control")
+    return np.array(out, dtype=float)
 
 
 def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
@@ -199,40 +210,22 @@ def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
     at 1 - kappa*w ~ 0, and a plain DomainError at a non-finite state or
     control, or where the model overflows or leaves a math-function domain.
     """
-    x, u, kap = _model_args(x, u, p)
-    f_fun, _, _, _ = _build_model(p._model_key())
-    args = x.tolist() + u.tolist()
-    try:
-        xdot = f_fun(*args, kap, p.fusion_lambda)
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"vehicle model undefined: {exc}") from exc
-    if not math.isfinite(sum(args) + sum(xdot)):
-        raise DomainError("vehicle model not finite at this state and control")
-    return np.array(xdot)
-
-
-def vehicle_jacobian_x(x, u, p: VehicleParams) -> np.ndarray:
-    """Analytic df/dx, with the curvature s-dependence chained in."""
-    x, u, kap = _model_args(x, u, p)
-    _, jx_fun, _, fk_fun = _build_model(p._model_key())
-    args = (*x, *u, kap, p.fusion_lambda)
-    jx = np.asarray(jx_fun(*args), dtype=float)
-    dk = p.dkappa_at(float(x[3]))
-    if dk != 0.0:
-        jx[:, 3] += np.asarray(fk_fun(*args), dtype=float).ravel() * dk
-    return jx
-
-
-def vehicle_jacobian_u(x, u, p: VehicleParams) -> np.ndarray:
-    """Analytic df/du."""
-    x, u, kap = _model_args(x, u, p)
-    _, _, ju_fun, _ = _build_model(p._model_key())
-    return np.asarray(ju_fun(*x, *u, kap, p.fusion_lambda), dtype=float)
+    point = _model_point(x, u, p)
+    f_fun, _ = _build_model(p._model_key())
+    return _evaluate(f_fun, point)
 
 
 def vehicle_jacobians(x, u, p: VehicleParams):
-    """Analytic (df/dx, df/du), with the curvature s-dependence chained in."""
-    return vehicle_jacobian_x(x, u, p), vehicle_jacobian_u(x, u, p)
+    """Analytic (df/dx, df/du), with the curvature s-dependence chained in.
+
+    The two are views of one array. Raises the DomainErrors of vehicle_dynamics.
+    """
+    point = _model_point(x, u, p)
+    dkap = p.curvature_deriv(point[3]) if p.curvature_deriv is not None else 0.0
+    _, jac_fun = _build_model(p._model_key())
+    jac = _evaluate(jac_fun, point + [dkap])
+    return (jac[:N_STATES * N_STATES].reshape(N_STATES, N_STATES),
+            jac[N_STATES * N_STATES:].reshape(N_STATES, N_INPUTS))
 
 
 def avp_stage_cost(x, u, x_ref, p: VehicleParams) -> float:
@@ -315,8 +308,8 @@ def avp_problem(p: Optional[VehicleParams] = None, t0: float = 0.0, tf: float = 
         t0=t0,
         tf=tf,
         dynamics_jacobians=(
-            lambda x, u: vehicle_jacobian_x(x, u, p),
-            lambda x, u: vehicle_jacobian_u(x, u, p),
+            lambda x, u: vehicle_jacobians(x, u, p)[0],
+            lambda x, u: vehicle_jacobians(x, u, p)[1],
         ),
         stage_cost_grad=lambda x, u: avp_stage_cost_grad(x, u, x_ref, p),
         stage_cost_hess=lambda x, u: avp_stage_cost_hess(x, u, x_ref, p),
@@ -332,45 +325,52 @@ _SCALAR_FIELDS = (
 )
 
 
+def _config_number(section: dict, key: str) -> float:
+    try:
+        return float(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r} must be a number, got {section[key]!r}") from exc
+
+
 def vehicle_params_from_dict(d: dict) -> VehicleParams:
     """Build params from a config mapping; Q/R are given as diagonals or full matrices."""
-    kwargs = {}
-    for key in _SCALAR_FIELDS:
-        if key in d:
-            kwargs[key] = float(d[key])
-    if "q_diag" in d:
-        kwargs["Q"] = np.diag(np.asarray(d["q_diag"], dtype=float))
-    elif "Q" in d:
-        kwargs["Q"] = np.asarray(d["Q"], dtype=float)
-    if "r_diag" in d:
-        kwargs["R"] = np.diag(np.asarray(d["r_diag"], dtype=float))
-    elif "R" in d:
-        kwargs["R"] = np.asarray(d["R"], dtype=float)
     unknown = set(d) - set(_SCALAR_FIELDS) - {"q_diag", "r_diag", "Q", "R"}
     if unknown:
         raise ValueError(f"unknown vehicle config keys: {sorted(unknown)}")
+    kwargs = {key: _config_number(d, key) for key in _SCALAR_FIELDS if key in d}
+    for diag, full in (("q_diag", "Q"), ("r_diag", "R")):
+        if diag in d and full in d:
+            raise ValueError(f"config gives both {diag} and {full}; give one")
+        if diag in d:
+            kwargs[full] = np.diag(np.asarray(d[diag], dtype=float))
+        elif full in d:
+            kwargs[full] = np.asarray(d[full], dtype=float)
     return VehicleParams(**kwargs)
 
 
 def load_config(path) -> dict:
-    """Parse a YAML config file with optional vehicle/problem sections."""
+    """Parse a YAML config file with optional vehicle/problem mapping sections."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ValueError(f"config root must be a mapping, got {type(raw).__name__}")
-    cfg = {"vehicle": raw.get("vehicle", {}) or {},
-           "problem": raw.get("problem", {}) or {}}
-    unknown = set(raw) - set(cfg)
+    unknown = set(raw) - {"vehicle", "problem"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    cfg = {name: {} if raw.get(name) is None else raw[name] for name in ("vehicle", "problem")}
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name!r} must be a mapping, "
+                             f"got {type(section).__name__}")
     return cfg
 
 
 def avp_problem_from_config(path) -> OcpProblem:
     """The valet-parking OCP of a YAML config; the problem section sets t0/tf."""
     sections = load_config(path)
-    unknown = set(sections["problem"]) - {"t0", "tf"}
+    problem = sections["problem"]
+    unknown = set(problem) - {"t0", "tf"}
     if unknown:
         raise ValueError(f"unknown problem config keys: {sorted(unknown)}")
     return avp_problem(vehicle_params_from_dict(sections["vehicle"]),
-                       **{k: float(v) for k, v in sections["problem"].items()})
+                       **{k: _config_number(problem, k) for k in problem})

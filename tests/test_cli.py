@@ -214,16 +214,25 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "--config" in err
 
-    @pytest.mark.parametrize("text", [
-        "vehicle: {}\nsolver: {max_iters: 400}\n",
-        "problem: {tf: 2.0, x0: [1.0, 0.0]}\n",
-        "vehicle: {warp_drive: 1}\n",
-    ])
-    def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
+    @pytest.mark.parametrize("text, fragment", [
+        pytest.param(text, fragment, id=text) for text, fragment in [
+            ("vehicle: {}\nsolver: {max_iters: 400}\n", "unknown"),
+            ("problem: {tf: 2.0, x0: [1.0, 0.0]}\n", "unknown"),
+            ("vehicle: {warp_drive: 1}\n", "unknown"),
+            ("vehicle: 5\n", "'vehicle' must be a mapping"),
+            ("problem: 5\n", "'problem' must be a mapping"),
+            ("vehicle: {mass: null}\n", "'mass' must be a number"),
+            ("vehicle: {mass: [1200]}\n", "'mass' must be a number"),
+            ("problem: {tf: null}\n", "'tf' must be a number"),
+            ("vehicle: {q_diag: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1], Q: [[1.0]]}\n",
+             "both q_diag and Q"),
+            ("vehicle: {r_diag: [1, 1], R: [[1, 0], [0, 1]]}\n", "both r_diag and R"),
+        ]])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         for sub in ("solve", "bench"):
             code, out, err = run(capsys, [sub, "--problem", "avp", "--method", "SOC-3",
                                           "--config", str(path)])
             assert code == EXIT_USAGE
-            assert out == "" and "unknown" in err
+            assert out == "" and fragment in err

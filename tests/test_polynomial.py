@@ -12,7 +12,7 @@ from socenv.errors import DomainError
 from socenv.polynomial import (MAX_DEGREE, MonomialPoly, TimeMap, basis_matrix,
                                eval_spline, legendre_coeffs,
                                legendre_deriv_values, legendre_values, lgl_grid,
-                               quadrature, spline_samples)
+                               spline_samples)
 
 
 def rodrigues_coeffs(k):
@@ -131,12 +131,7 @@ class TestQuadrature:
         for deg in range(2 * N - 2):
             vals = g.nodes ** deg
             exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-            assert quadrature(vals, g) == pytest.approx(exact, abs=1e-11)
-
-    def test_shape_check(self):
-        g = lgl_grid(4)
-        with pytest.raises(ValueError):
-            quadrature(np.ones(5), g)
+            assert g.weights @ vals == pytest.approx(exact, abs=1e-11)
 
 
 class TestSplineEvaluation:

@@ -64,31 +64,38 @@ class TestDynamics:
             vehicle_dynamics(x, np.zeros(N_INPUTS), p)
 
     def test_overflow_raises_domain_error(self):
-        x = np.zeros(N_STATES)
-        x[0] = 1e200                 # v_x ** 2 overflows inside the math module
-        with pytest.raises(DomainError):
-            vehicle_dynamics(x, np.zeros(N_INPUTS), P)
-        x = np.zeros(N_STATES)
-        x[1] = x[2] = 1e200          # r * v_y overflows to inf without an exception
-        with pytest.raises(DomainError):
-            vehicle_dynamics(x, np.zeros(N_INPUTS), P)
+        """f and its Jacobians both raise DomainError where the model overflows."""
+        for model in (vehicle_dynamics, vehicle_jacobians):
+            x = np.zeros(N_STATES)
+            x[0] = 1e200                 # v_x ** 2 overflows inside the math module
+            with pytest.raises(DomainError):
+                model(x, np.zeros(N_INPUTS), P)
+            x = np.zeros(N_STATES)
+            x[1] = x[2] = 1e200          # r * v_y overflows to inf without an exception
+            with pytest.raises(DomainError):
+                model(x, np.zeros(N_INPUTS), P)
 
     def test_non_finite_or_huge_inputs_give_finite_values_or_domain_error(self):
-        """An infinite or NaN entry raises DomainError; a huge one may also be fine."""
-        for i in range(N_STATES + N_INPUTS):
-            for value in (np.inf, -np.inf, np.nan, 1e300, -1e300):
-                xu = np.zeros(N_STATES + N_INPUTS)
-                xu[0] = 1.0
-                xu[i] = value
-                x, u = xu[:N_STATES], xu[N_STATES:]
-                if np.isfinite(value):
-                    try:
-                        assert np.all(np.isfinite(vehicle_dynamics(x, u, P)))
-                    except DomainError:
-                        pass
-                else:
-                    with pytest.raises(DomainError):
-                        vehicle_dynamics(x, u, P)
+        """An infinite or NaN entry raises DomainError; a huge one may also be fine.
+
+        Checked for f and for its Jacobians (df/dx, df/du).
+        """
+        for model in (vehicle_dynamics, vehicle_jacobians):
+            for i in range(N_STATES + N_INPUTS):
+                for value in (np.inf, -np.inf, np.nan, 1e300, -1e300):
+                    xu = np.zeros(N_STATES + N_INPUTS)
+                    xu[0] = 1.0
+                    xu[i] = value
+                    x, u = xu[:N_STATES], xu[N_STATES:]
+                    if np.isfinite(value):
+                        try:
+                            values = model(x, u, P)
+                        except DomainError:
+                            continue
+                        assert all(np.all(np.isfinite(v)) for v in values)
+                    else:
+                        with pytest.raises(DomainError):
+                            model(x, u, P)
 
     def test_curved_road_changes_s_rate(self):
         p = VehicleParams(kappa_const=0.1)
