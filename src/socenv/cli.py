@@ -31,13 +31,15 @@ EXIT_USAGE = 2
 
 
 def _problem(ns: argparse.Namespace):
-    """The selected OCP, with the AVP model already built so no solve time includes it."""
+    """The selected OCP, with the AVP model and its Hessian already compiled
+    so no solve time includes them."""
     if ns.problem == "academic":
         if ns.config:
             raise ValueError("--config applies to --problem avp only")
         return academic_problem()
     ocp = avp_problem_from_config(ns.config) if ns.config else avp_problem()
     ocp.dynamics(ocp.x0, np.zeros(ocp.n_u))
+    ocp.dynamics_hessian(ocp.x0, np.zeros(ocp.n_u), np.zeros(ocp.n_x))
     return ocp
 
 

@@ -5,11 +5,16 @@ equality constraints, two-sided linear inequalities ``lo <= A z <= hi`` and
 optional nonlinear inequalities ``t(z) <= 0``.  Derivatives are required:
 the objective gradient and the equality Jacobian come from the problem.
 
-One Hessian policy per problem: when it supplies an objective Hessian, the
-QP uses it with its eigenvalues floored at ``GN_FLOOR``, re-evaluated at
-every accepted point; when it supplies none, a Powell-damped BFGS
+One Hessian policy per problem: when it supplies a Lagrangian Hessian, the
+QP uses it with its eigenvalues floored at ``GN_FLOOR``, evaluated at z0
+with zero multipliers and then at every accepted point with the latest QP
+equality multipliers; when it supplies none, a Powell-damped BFGS
 approximation started from the identity.  Nothing switches between the two
-during a solve.
+during a solve.  The floor acts on the full space, because the exact
+Lagrangian Hessian of a collocation NLP is indefinite away from the optimum
+and the QP only shifts its reduced Hessian when a Cholesky factorisation
+fails: without the floor the AVP SOC-5, SOCSE-5 and SOCSE-8 solves end at
+the iteration cap.
 
 Steps are globalized by a backtracking line search on an l1 exact-penalty
 merit function whose penalty is kept above the largest multiplier estimate;
@@ -43,7 +48,7 @@ PENALTY_GROWTH = 2.0
 LS_BACKTRACK = 0.5
 LS_ARMIJO = 1e-4
 MAX_BACKTRACKS = 30
-GN_FLOOR = 1e-2         # eigenvalue floor applied to a supplied objective Hessian
+GN_FLOOR = 1e-2         # eigenvalue floor applied to a supplied Lagrangian Hessian
 
 _ACTIVE_TOL = 1e-10
 _RANK_TOL = 1e-10     # |R_kk| / |R_00| below which an equality row is dependent
@@ -370,9 +375,9 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         tt = np.atleast_1d(nlp.ineq_fun(zz)) if has_nl else None
         return ff, cc, tt, _linear_violation(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper, zz)
 
-    def model_hessian(zz):
-        """The problem's objective Hessian with its eigenvalues floored at GN_FLOOR."""
-        Hm = np.asarray(nlp.hessian(zz), dtype=float)
+    def model_hessian(zz, ll):
+        """The problem's Hessian at (zz, ll) with its eigenvalues floored at GN_FLOOR."""
+        Hm = np.asarray(nlp.hessian(zz, ll), dtype=float)
         Hm = 0.5 * (Hm + Hm.T)
         wv, Vv = np.linalg.eigh(Hm)
         return (Vv * np.maximum(wv, GN_FLOOR)) @ Vv.T
@@ -382,9 +387,9 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     J = nlp.eq_jac(z)
     Jt = nl_jac(z) if has_nl else None
 
-    B = model_hessian(z) if nlp.hessian is not None else np.eye(n)
-    sigma = 1.0
     lam = np.zeros(c.size)
+    B = model_hessian(z, lam) if nlp.hessian is not None else np.eye(n)
+    sigma = 1.0
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
     relaxed = 0
@@ -510,7 +515,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         Jt_new = nl_jac(z_try) if has_nl else None
 
         if nlp.hessian is not None:
-            B = model_hessian(z_try)
+            B = model_hessian(z_try, lam)
         else:
             y = lagr_grad(g_new, J_new, Jt_new) - lagr_grad(g, J, Jt)
             Bs = B @ s

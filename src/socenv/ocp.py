@@ -22,7 +22,10 @@ class OcpProblem:
     """Continuous Bolza problem: dynamics, costs, boxes, initial state, horizon.
 
     ``dynamics(x, u)`` returns xdot and ``dynamics_jacobians`` is the pair of
-    (df/dx, df/du) callbacks.  ``stage_cost_grad(x, u)`` returns (l_x, l_u)
+    (df/dx, df/du) callbacks.  ``dynamics_hessian(x, u, mult)`` returns the
+    (n_x + n_u) square Hessian of mult' f over (x, u), states first; the
+    collocation SQP uses it for the constraint curvature of its Lagrangian
+    Hessian.  ``stage_cost_grad(x, u)`` returns (l_x, l_u)
     and ``stage_cost_hess(x, u)`` returns (l_xx, l_xu, l_uu).  A
     ``terminal_cost`` comes with its ``terminal_cost_grad``.
     ``terminal_constraint`` follows the g(x) <= 0 convention.  All callbacks
@@ -33,6 +36,7 @@ class OcpProblem:
     n_u: int
     dynamics: Callable[[Vector, Vector], Vector]
     dynamics_jacobians: tuple
+    dynamics_hessian: Callable[[Vector, Vector, Vector], np.ndarray]
     stage_cost: Callable[[Vector, Vector], float]
     stage_cost_grad: Callable[[Vector, Vector], tuple]
     stage_cost_hess: Callable[[Vector, Vector], tuple]
@@ -78,6 +82,7 @@ def academic_problem() -> OcpProblem:
 
     fx = lambda x, u: np.array([[-1.0]])
     fu = lambda x, u: np.array([[1.0]])
+    f_hess = lambda x, u, mult: np.zeros((2, 2))   # linear dynamics
 
     def stage_cost(x, u):
         return 0.5 * float(x[0] ** 2 + u[0] ** 2)
@@ -101,6 +106,7 @@ def academic_problem() -> OcpProblem:
         t0=0.0,
         tf=1.0,
         dynamics_jacobians=(fx, fu),
+        dynamics_hessian=f_hess,
         stage_cost_grad=stage_cost_grad,
         stage_cost_hess=stage_cost_hess,
         name="academic",

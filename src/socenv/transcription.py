@@ -124,10 +124,12 @@ class MsLayout:
 class NlpProblem:
     """Dense NLP: smooth objective, nonlinear equalities, linear two-sided inequalities.
 
-    The gradient and the equality Jacobian are required.  ``hessian(z)`` is
-    the objective's Hessian: the solver floors its eigenvalues and uses it at
-    every accepted point.  Without one the solver uses damped BFGS from the
-    identity for the whole solve.
+    The gradient and the equality Jacobian are required.  ``hessian(z, lam)``
+    is the Hessian of the Lagrangian f + lam' c at the equality multipliers
+    ``lam``, or only its objective part where the constraint curvature is not
+    formed: the solver floors its eigenvalues and uses it at every accepted
+    point.  Without one the solver uses damped BFGS from the identity for the
+    whole solve.
     """
 
     n_vars: int
@@ -192,7 +194,9 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     Each collocation row is a node's basis row times the model's derivative,
     so the Jacobian, the Hessian and the box rows are Kronecker products of
     the basis tables with stacked model derivatives, and the OCP callbacks
-    are the only per-node work.
+    are the only per-node work.  The Hessian is the Lagrangian's: node k
+    contributes phi_k phi_k' (x) scale * (w_k * l'' - d2(lam_k' f)), where
+    lam_k are the multipliers of its collocation rows.
     """
     _check_dof(ocp, cfg)
     layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u)
@@ -233,11 +237,14 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     if ocp.terminal_cost is None:
         phi_outer = phi_nodes[:, :, None] * phi_nodes[:, None, :]   # (N, M+1, M+1)
 
-        def hessian(z):
+        def hessian(z, lam):
             _, X, U = node_values(z)
             Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
                            for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
-            H = np.tensordot((scale * w)[:, None, None] * Hl, phi_outer, axes=(0, 0))
+            # The collocation rows are dphi_k' alpha - scale * f(X_k, U_k).
+            Hf = np.array([ocp.dynamics_hessian(x, u, m) for x, u, m in
+                           zip(X, U, np.asarray(lam)[n_x:].reshape(-1, n_x))])
+            H = np.tensordot(scale * (w[:, None, None] * Hl - Hf), phi_outer, axes=(0, 0))
             return H.transpose(0, 2, 1, 3).reshape(layout.n_vars, layout.n_vars)
 
     def eq_fun(z):
@@ -288,7 +295,9 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
 def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
     """RK4 multiple-shooting NLP with piecewise-constant controls on ``steps`` intervals.
 
-    Each interval's state map is ``MS_SUBSTEPS`` RK4 steps.
+    Each interval's state map is ``MS_SUBSTEPS`` RK4 steps.  The Hessian is
+    the objective's only and ignores the multipliers: the second derivatives
+    of the RK4 map are not formed.
     """
     if steps < 1:
         raise ValueError("need at least one shooting interval")
@@ -335,7 +344,7 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
 
     hessian = None
     if ocp.terminal_cost is None:
-        def hessian(z):
+        def hessian(z, lam):
             X, U = layout.states(z), layout.controls(z)
             H = np.zeros((layout.n_vars, layout.n_vars))
             off = (K + 1) * n_x

@@ -18,9 +18,15 @@ vehicle can start from and come to rest:
     xdot = lam * f_dyn(x, u) + (1 - lam) * f_kin(x, u)
 
 The model and its Jacobians are derived symbolically once per parameter set
-and compiled into two math-module functions: f, and (df/dx, df/du) in one
-call. The curvature kappa_c(s) and its s-derivative kappa' enter as runtime
-arguments; kappa' scales the df/dkappa term of the chain rule in df/ds.
+and compiled into three math-module functions: f; (df/dx, df/du) in one
+call; and the Hessian over (x, u) of mult' f for a multiplier vector mult.
+The first two are compiled with the model, the Hessian on its first call,
+so building a problem or integrating it never pays for it. The curvature
+kappa_c(s) and its s-derivative kappa' enter as runtime arguments; kappa'
+scales the df/dkappa term of the chain rule in every s-derivative. The
+Hessian takes kappa'' = 0, which is exact for kappa linear in s (clothoid
+track segments); it only shapes the SQP's quadratic model, while the
+solver's stopping test uses the exact first derivatives.
 
 All numeric parameter defaults are artifact-chosen compact-EV-scale values
 (the benchmark properties do not depend on the exact numbers); see
@@ -45,6 +51,15 @@ N_STATES = 10
 N_INPUTS = 2
 
 _SINGULARITY_TOL = 1e-9
+
+# The float fields of VehicleParams, each settable from a config file.
+_SCALAR_FIELDS = (
+    "mass", "inertia_z", "l_f", "l_r", "c_alpha_f", "c_alpha_r", "a_max",
+    "drive_split", "roll_resist", "drag_coeff", "v_eps", "fusion_lambda",
+    "kappa_const", "w_min", "w_max", "s_target", "blend_sharpness", "v_ref",
+    "q_wp", "q_theta_p",
+)
+_UPPER = np.triu_indices(N_STATES + N_INPUTS)   # (x, u) Hessian entries compiled
 
 
 def _default_q() -> np.ndarray:
@@ -89,6 +104,13 @@ class VehicleParams:
             raise ValueError("curvature and curvature_deriv must be given together")
         self.Q = np.asarray(self.Q, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
+        # NaN passes every comparison below, so finiteness is checked first.
+        for name in _SCALAR_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("Q", "R"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must have finite entries")
         for name in ("mass", "inertia_z", "l_f", "l_r", "c_alpha_f", "c_alpha_r",
                      "a_max", "v_eps"):
             if getattr(self, name) <= 0:
@@ -112,13 +134,12 @@ class VehicleParams:
 
 
 @lru_cache(maxsize=8)
-def _build_model(key: tuple):
-    """Symbolic fused model, compiled once into two math-module functions.
+def _symbolic_model(key: tuple):
+    """The fused model as sympy expressions: (arguments, f, [df/dx df/du]).
 
-    f_fun(*x, *u, kappa, lambda) returns the 10 derivatives. jac_fun takes the
-    same arguments plus dkappa/ds and returns df/dx (10x10) then df/du (10x2),
-    each flattened row by row. Both take and return plain floats; a structural
-    zero comes back as the int 0.
+    The arguments are [*x, *u, kappa, lambda, dkappa/ds]; f does not depend on
+    the last. The (10, 12) Jacobian has df/dkappa * dkappa/ds added to its
+    s-column, because kappa_c depends on s.
     """
     (mass, iz, lf, lr, caf, car, a_max, split, c0, c2, eps) = key
     vx, vy, r, s, w, th, wp, thp, dl, tr = sp.symbols(
@@ -169,17 +190,54 @@ def _build_model(key: tuple):
     ])
 
     f = lam * f_dyn + (1 - lam) * f_kin
-    # kappa_c depends on s, so the s-column of df/dx carries the chain-rule
-    # term df/dkappa * dkappa/ds, with dkappa/ds passed in at run time.
     jac_x = f.jacobian(x_syms)
     jac_x[:, 3] += f.diff(kap) * dkap
-    args = x_syms + u_syms + [kap, lam]
+    return x_syms + u_syms + [kap, lam, dkap], f, jac_x.row_join(f.jacobian(u_syms))
+
+
+@lru_cache(maxsize=8)
+def _build_model(key: tuple):
+    """f and its Jacobians compiled into two math-module functions.
+
+    f_fun(*x, *u, kappa, lambda) returns the 10 derivatives. jac_fun takes the
+    same arguments plus dkappa/ds and returns df/dx (10x10) then df/du (10x2),
+    each flattened row by row. Both take and return plain floats; a structural
+    zero comes back as the int 0.
+    """
+    args, f, jac = _symbolic_model(key)
     # The model is called one point at a time (RK4 stages, collocation nodes):
     # plain floats through the math module cost a third of a numpy evaluation.
-    f_fun = sp.lambdify(args, list(f), "math", cse=True)
-    jac_fun = sp.lambdify(args + [dkap], list(jac_x) + list(f.jacobian(u_syms)),
+    f_fun = sp.lambdify(args[:-1], list(f), "math", cse=True)
+    jac_fun = sp.lambdify(args, list(jac[:, :N_STATES]) + list(jac[:, N_STATES:]),
                           "math", cse=True)
     return f_fun, jac_fun
+
+
+@lru_cache(maxsize=8)
+def _build_hessian(key: tuple):
+    """The upper triangle of the Hessian of mult' f over (x, u), compiled.
+
+    hess_fun takes the arguments of jac_fun plus the 10 multipliers and returns
+    the entries of ``_UPPER`` in order. Entry (a, b) is sum_i mult_i D_b J[i, a]
+    over the Jacobian rows, with D_s = d/ds + kappa' d/dkappa and kappa'' = 0,
+    and any other D_b the plain partial derivative. It is built apart from
+    f and the Jacobians because it takes longer to derive and compile than
+    both of them, and only the collocation SQP needs it.
+    """
+    args, _, jac = _symbolic_model(key)
+    xu, kap, dkap = args[:N_STATES + N_INPUTS], args[-3], args[-1]
+    mult = sp.symbols(f"m0:{N_STATES}", real=True)
+
+    def total_derivative(expr, b):
+        out = expr.diff(xu[b])
+        return out + dkap * expr.diff(kap) if b == 3 else out
+
+    entries = []
+    for a, b in zip(*_UPPER):
+        terms = [mult[i] * total_derivative(jac[i, a], b)
+                 for i in range(N_STATES) if jac[i, a] != 0]
+        entries.append(sp.Add(*terms))
+    return sp.lambdify(args + list(mult), entries, "math", cse=True)
 
 
 def _model_point(x, u, p: VehicleParams) -> list:
@@ -215,17 +273,37 @@ def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
     return _evaluate(f_fun, point)
 
 
+def _derivative_point(x, u, p: VehicleParams) -> list:
+    """The ``_model_point`` followed by dkappa/ds, as the derivative functions take it."""
+    point = _model_point(x, u, p)
+    return point + [p.curvature_deriv(point[3]) if p.curvature_deriv is not None else 0.0]
+
+
 def vehicle_jacobians(x, u, p: VehicleParams):
     """Analytic (df/dx, df/du), with the curvature s-dependence chained in.
 
     The two are views of one array. Raises the DomainErrors of vehicle_dynamics.
     """
-    point = _model_point(x, u, p)
-    dkap = p.curvature_deriv(point[3]) if p.curvature_deriv is not None else 0.0
     _, jac_fun = _build_model(p._model_key())
-    jac = _evaluate(jac_fun, point + [dkap])
+    jac = _evaluate(jac_fun, _derivative_point(x, u, p))
     return (jac[:N_STATES * N_STATES].reshape(N_STATES, N_STATES),
             jac[N_STATES * N_STATES:].reshape(N_STATES, N_INPUTS))
+
+
+def vehicle_dynamics_hessian(x, u, mult, p: VehicleParams) -> np.ndarray:
+    """The (12, 12) Hessian of mult' f over (x, u), states first.
+
+    The curvature enters as in ``vehicle_jacobians``, with kappa'' taken as 0
+    (see the module docstring). Compiles on its first call for a parameter
+    set. Raises the DomainErrors of vehicle_dynamics, and a DomainError at a
+    non-finite multiplier.
+    """
+    args = _derivative_point(x, u, p) + np.asarray(mult, dtype=float).tolist()
+    upper = _evaluate(_build_hessian(p._model_key()), args)
+    hess = np.empty((N_STATES + N_INPUTS, N_STATES + N_INPUTS))
+    hess[_UPPER] = upper
+    hess.T[_UPPER] = upper
+    return hess
 
 
 def avp_stage_cost(x, u, x_ref, p: VehicleParams) -> float:
@@ -311,18 +389,11 @@ def avp_problem(p: Optional[VehicleParams] = None, t0: float = 0.0, tf: float = 
             lambda x, u: vehicle_jacobians(x, u, p)[0],
             lambda x, u: vehicle_jacobians(x, u, p)[1],
         ),
+        dynamics_hessian=lambda x, u, mult: vehicle_dynamics_hessian(x, u, mult, p),
         stage_cost_grad=lambda x, u: avp_stage_cost_grad(x, u, x_ref, p),
         stage_cost_hess=lambda x, u: avp_stage_cost_hess(x, u, x_ref, p),
         name="avp",
     )
-
-
-_SCALAR_FIELDS = (
-    "mass", "inertia_z", "l_f", "l_r", "c_alpha_f", "c_alpha_r", "a_max",
-    "drive_split", "roll_resist", "drag_coeff", "v_eps", "fusion_lambda",
-    "kappa_const", "w_min", "w_max", "s_target", "blend_sharpness", "v_ref",
-    "q_wp", "q_theta_p",
-)
 
 
 def _config_number(section: dict, key: str) -> float:

@@ -28,6 +28,7 @@ def lq_unconstrained():
         u_lower=np.array([-50.0]), u_upper=np.array([50.0]),
         x0=np.array([1.0]), t0=0.0, tf=1.0,
         dynamics_jacobians=base.dynamics_jacobians,
+        dynamics_hessian=base.dynamics_hessian,
         stage_cost_grad=base.stage_cost_grad,
         stage_cost_hess=base.stage_cost_hess,
     )
@@ -38,6 +39,7 @@ def integrator_problem(x0):
     return OcpProblem(
         n_x=1, n_u=1, dynamics=lambda x, u: np.array([u[0]]),
         dynamics_jacobians=(lambda x, u: np.zeros((1, 1)), lambda x, u: np.ones((1, 1))),
+        dynamics_hessian=lambda x, u, mult: np.zeros((2, 2)),
         stage_cost=lambda x, u: 0.0,
         stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
         stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
@@ -102,6 +104,7 @@ class TestTrajectoryCost:
         ocp = OcpProblem(
             n_x=1, n_u=1, dynamics=base.dynamics,
             dynamics_jacobians=base.dynamics_jacobians,
+            dynamics_hessian=base.dynamics_hessian,
             stage_cost=lambda x, u: 0.0,
             stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
             stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),

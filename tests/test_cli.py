@@ -118,9 +118,12 @@ class TestSolve:
         assert json.loads(out)["report"]["status"] != "converged"
 
     def test_avp_model_is_built_before_any_solve(self):
+        """f, its Jacobians and the Hessian of mult' f are all compiled by _problem."""
         vehicle._build_model.cache_clear()
+        vehicle._build_hessian.cache_clear()
         _problem(build_parser().parse_args(["bench", "--problem", "avp"]))
         assert vehicle._build_model.cache_info().currsize == 1
+        assert vehicle._build_hessian.cache_info().currsize == 1
 
     def test_avp_default_config(self, capsys):
         code, out, _ = run(capsys, ["solve", "--problem", "avp", "--config", DEFAULT_CONFIG,
@@ -227,6 +230,12 @@ class TestConfig:
             ("vehicle: {q_diag: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1], Q: [[1.0]]}\n",
              "both q_diag and Q"),
             ("vehicle: {r_diag: [1, 1], R: [[1, 0], [0, 1]]}\n", "both r_diag and R"),
+            ("vehicle: {mass: .nan}\n", "mass must be finite"),
+            ("vehicle: {mass: .inf}\n", "mass must be finite"),
+            ("vehicle: {drag_coeff: .nan}\n", "drag_coeff must be finite"),
+            ("vehicle: {s_target: -.inf}\n", "s_target must be finite"),
+            ("vehicle: {q_diag: [1, 1, 1, 1, .nan, 1, 1, 1, 1, 1]}\n", "Q must have finite"),
+            ("vehicle: {r_diag: [1, .inf]}\n", "R must have finite"),
         ]])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "bad.yaml"

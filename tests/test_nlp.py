@@ -376,12 +376,12 @@ class TestSolveSqp:
             solve_sqp(small_nlp(), np.zeros(3))
 
     @pytest.mark.parametrize("seed", [5, 27, 98])
-    def test_kkt_exit_after_failed_line_search(self, seed):
-        """AVP SOCSE-3 from a perfbench-seeded start: a line search fails at a KKT point.
+    def test_seeded_avp_socse3_converges(self, seed):
+        """AVP SOCSE-3 from a perfbench-seeded start converges with a passing certificate.
 
-        At that point the QP step is tiny but not zero and no trial is
-        accepted.  The point is feasible and stationary at the QP's fresh
-        multipliers, so the failed line search ends the solve as converged.
+        With the objective Hessian alone these three solves ended in a failed
+        line search at a KKT point; with the Lagrangian Hessian they converge
+        by an accepted step.
         """
         rng = np.random.default_rng(seed)
         x0 = np.zeros(10)
@@ -393,6 +393,24 @@ class TestSolveSqp:
         cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
         assert cert["stationarity"] <= 1e-4
         assert cert["eq_residual"] <= 1e-6
+
+    def test_failed_line_search_at_kkt_point_converges(self):
+        """The start is within KKT_TOL of the optimum and every other point is
+        outside the domain: the first line search fails, and the solve ends
+        there as converged because the start is a KKT point."""
+        nlp = small_nlp()
+        z0 = np.array([1.0, 1e-9])
+
+        def obj(z):
+            if np.any(z != z0):
+                raise DomainError(f"z={z} outside the model's domain")
+            return 0.5 * float(z @ z)
+        nlp.objective = obj
+        z, rep = solve_sqp(nlp, z0)
+        assert rep.status == "converged"
+        assert rep.iterations == 1
+        assert np.array_equal(z, z0)
+        np.testing.assert_allclose(rep.lam_eq, [-1.0], atol=1e-8)
 
     def test_line_search_failure_away_from_kkt_point(self):
         """Every trial point is outside the domain, so the first line search

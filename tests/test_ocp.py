@@ -33,6 +33,7 @@ class TestAcademicProblem:
         x, u = np.array([0.7]), np.array([-0.2])
         np.testing.assert_allclose(fx(x, u), [[-1.0]])
         np.testing.assert_allclose(fu(x, u), [[1.0]])
+        np.testing.assert_array_equal(ocp.dynamics_hessian(x, u, np.array([3.0])), np.zeros((2, 2)))
 
     def test_gradient_and_hessian_consistency(self):
         ocp = academic_problem()
@@ -56,6 +57,7 @@ class TestValidation:
             n_x=1, n_u=1,
             dynamics=lambda x, u: -x + u,
             dynamics_jacobians=(lambda x, u: -np.eye(1), lambda x, u: np.eye(1)),
+            dynamics_hessian=lambda x, u, mult: np.zeros((2, 2)),
             stage_cost=lambda x, u: float(x @ x + u @ u),
             stage_cost_grad=lambda x, u: (2.0 * x, 2.0 * u),
             stage_cost_hess=lambda x, u: (2.0 * np.eye(1), np.zeros((1, 1)), 2.0 * np.eye(1)),
@@ -96,7 +98,8 @@ class TestValidation:
         kw["terminal_cost_grad"] = lambda x: 2.0 * x
         OcpProblem(**kw)
 
-    @pytest.mark.parametrize("name", ["dynamics_jacobians", "stage_cost_grad", "stage_cost_hess"])
+    @pytest.mark.parametrize("name", ["dynamics_jacobians", "dynamics_hessian",
+                                      "stage_cost_grad", "stage_cost_hess"])
     def test_model_derivatives_are_required(self, name):
         kw = self.base_kwargs()
         del kw[name]

@@ -19,6 +19,7 @@ def constant_problem(c=0.7):
         n_x=1, n_u=1,
         dynamics=lambda x, u: np.zeros(1),
         dynamics_jacobians=(lambda x, u: np.zeros((1, 1)), lambda x, u: np.zeros((1, 1))),
+        dynamics_hessian=lambda x, u, mult: np.zeros((2, 2)),
         stage_cost=lambda x, u: float(u @ u),
         stage_cost_grad=lambda x, u: (np.zeros(1), 2.0 * u),
         stage_cost_hess=lambda x, u: (np.zeros((1, 1)), np.zeros((1, 1)), 2.0 * np.eye(1)),
@@ -43,6 +44,11 @@ def pendulum_problem():
         lxx = np.array([[1.0 + 0.2 * x[1], 0.2 * x[0]], [0.2 * x[0], 2.0]])
         return lxx, np.array([[0.3], [0.7]]), np.array([[2.0]])
 
+    def dynamics_hessian(x, u, mult):
+        hess = np.zeros((3, 3))
+        hess[0, 0] = mult[1] * np.sin(x[0])
+        return hess
+
     return OcpProblem(
         n_x=2, n_u=1,
         dynamics=lambda x, u: np.array([x[1], -np.sin(x[0]) + u[0]]),
@@ -52,6 +58,7 @@ def pendulum_problem():
         x0=np.array([0.5, 0.0]), t0=0.0, tf=2.0,
         dynamics_jacobians=(lambda x, u: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]),
                             lambda x, u: np.array([[0.0], [1.0]])),
+        dynamics_hessian=dynamics_hessian,
         stage_cost_grad=stage_cost_grad,
         stage_cost_hess=stage_cost_hess,
     )
@@ -121,8 +128,20 @@ class TestDerivatives:
         assert nlp.hessian is not None
         rng = np.random.default_rng(2)
         z = rng.standard_normal(nlp.n_vars)
-        np.testing.assert_allclose(nlp.hessian(z),
+        lam = rng.standard_normal(nlp.eq_fun(z).size)
+        np.testing.assert_allclose(nlp.hessian(z, lam),
                                    fd_jacobian(nlp.gradient, z, 1e-6), atol=1e-5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_academic_hessian_does_not_depend_on_multipliers(self, mode):
+        """The academic dynamics are linear: the Lagrangian Hessian is the objective's, bit for bit."""
+        nlp = transcribe(academic_problem(), CollocationConfig(M=5, mode=mode))
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(nlp.n_vars)
+        n_eq = nlp.eq_fun(z).size
+        H0 = nlp.hessian(z, np.zeros(n_eq))
+        for _ in range(3):
+            np.testing.assert_array_equal(nlp.hessian(z, 1e3 * rng.standard_normal(n_eq)), H0)
 
 
 class TestMultiChannelDerivatives:
@@ -130,6 +149,8 @@ class TestMultiChannelDerivatives:
 
     Central differences with step 1e-6 are off by O(h^2) truncation plus
     O(eps |f| / h) round-off, below 2e-9 on these problems, so atol is 1e-7.
+    The Hessian is the Lagrangian's, checked against differences of
+    gradient + eq_jac' lam at random multipliers.
     """
 
     STEP, ATOL = 1e-6, 1e-7
@@ -139,8 +160,11 @@ class TestMultiChannelDerivatives:
                                    rtol=0.0, atol=self.ATOL)
         np.testing.assert_allclose(nlp.gradient(z), fd_gradient(nlp.objective, z, self.STEP),
                                    rtol=0.0, atol=self.ATOL)
-        np.testing.assert_allclose(nlp.hessian(z), fd_jacobian(nlp.gradient, z, self.STEP),
-                                   rtol=0.0, atol=self.ATOL)
+        lam = np.random.default_rng(4).standard_normal(nlp.eq_fun(z).size)
+        np.testing.assert_allclose(
+            nlp.hessian(z, lam),
+            fd_jacobian(lambda v: nlp.gradient(v) + nlp.eq_jac(v).T @ lam, z, self.STEP),
+            rtol=0.0, atol=self.ATOL)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("params", [
@@ -285,6 +309,7 @@ class TestMultipleShooting:
             n_x=1, n_u=1,
             dynamics=lambda x, u: -x,
             dynamics_jacobians=(lambda x, u: -np.eye(1), lambda x, u: np.zeros((1, 1))),
+            dynamics_hessian=lambda x, u, mult: np.zeros((2, 2)),
             stage_cost=lambda x, u: 0.0,
             stage_cost_grad=lambda x, u: (np.zeros(1), np.zeros(1)),
             stage_cost_hess=lambda x, u: (np.zeros((1, 1)),) * 3,
@@ -312,7 +337,8 @@ class TestMultipleShooting:
                                    fd_jacobian(nlp.eq_fun, z, 1e-6), atol=1e-6)
         np.testing.assert_allclose(nlp.gradient(z),
                                    fd_gradient(nlp.objective, z, 1e-6), atol=1e-6)
-        np.testing.assert_allclose(nlp.hessian(z),
+        # The RK4 map's second derivatives are not formed: the multipliers are ignored.
+        np.testing.assert_allclose(nlp.hessian(z, rng.standard_normal(nlp.eq_fun(z).size)),
                                    fd_jacobian(nlp.gradient, z, 1e-6), atol=1e-6)
 
     def test_rejects_bad_counts(self):

@@ -9,9 +9,16 @@ from socenv.nlp import kkt_certificate
 from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
                             avp_problem_from_config, avp_reference, avp_stage_cost,
                             avp_stage_cost_grad, avp_stage_cost_hess, load_config,
-                            vehicle_dynamics, vehicle_jacobians, vehicle_params_from_dict)
+                            vehicle_dynamics, vehicle_dynamics_hessian, vehicle_jacobians,
+                            vehicle_params_from_dict)
 
 P = VehicleParams()
+CURVED = VehicleParams(curvature=lambda s: 0.05 * s, curvature_deriv=lambda s: 0.05)
+
+
+def unit_hessian(x, u, p):
+    """vehicle_dynamics_hessian at unit multipliers, called like the other model functions."""
+    return vehicle_dynamics_hessian(x, u, np.ones(N_STATES), p)
 
 
 class TestDynamics:
@@ -64,8 +71,8 @@ class TestDynamics:
             vehicle_dynamics(x, np.zeros(N_INPUTS), p)
 
     def test_overflow_raises_domain_error(self):
-        """f and its Jacobians both raise DomainError where the model overflows."""
-        for model in (vehicle_dynamics, vehicle_jacobians):
+        """f, its Jacobians and its Hessian raise DomainError where the model overflows."""
+        for model in (vehicle_dynamics, vehicle_jacobians, unit_hessian):
             x = np.zeros(N_STATES)
             x[0] = 1e200                 # v_x ** 2 overflows inside the math module
             with pytest.raises(DomainError):
@@ -78,9 +85,15 @@ class TestDynamics:
     def test_non_finite_or_huge_inputs_give_finite_values_or_domain_error(self):
         """An infinite or NaN entry raises DomainError; a huge one may also be fine.
 
-        Checked for f and for its Jacobians (df/dx, df/du).
+        Checked for f, for its Jacobians (df/dx, df/du) and for the Hessian of
+        mult' f, which also rejects a non-finite multiplier.
         """
-        for model in (vehicle_dynamics, vehicle_jacobians):
+        for value in (np.inf, np.nan):
+            x = np.zeros(N_STATES)
+            x[0] = 1.0
+            with pytest.raises(DomainError):
+                vehicle_dynamics_hessian(x, np.zeros(N_INPUTS), np.full(N_STATES, value), P)
+        for model in (vehicle_dynamics, vehicle_jacobians, unit_hessian):
             for i in range(N_STATES + N_INPUTS):
                 for value in (np.inf, -np.inf, np.nan, 1e300, -1e300):
                     xu = np.zeros(N_STATES + N_INPUTS)
@@ -129,10 +142,35 @@ class TestJacobians:
                 denom = np.maximum(np.abs(fd), 1.0)
                 assert np.max(np.abs(ju[:, j] - fd) / denom) < 1e-5
 
+    @pytest.mark.parametrize("p", [P, CURVED], ids=["straight", "curved"])
+    def test_dynamics_hessian_matches_fd_of_jacobians(self, p):
+        """The Hessian of mult' f against central differences of mult' [df/dx df/du].
+
+        On kappa(s) = 0.05 s the curvature is linear in s, so the Hessian's
+        kappa'' = 0 is exact there too.
+        """
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(20):
+            x = rng.uniform(-0.8, 0.8, N_STATES)
+            x[0], x[3] = rng.uniform(0.3, 4.0), rng.uniform(0.0, 5.0)
+            u = rng.uniform(-0.6, 0.6, N_INPUTS)
+            mult = rng.standard_normal(N_STATES)
+
+            def lagrangian_gradient(xu):
+                jx, ju = vehicle_jacobians(xu[:N_STATES], xu[N_STATES:], p)
+                return mult @ np.hstack([jx, ju])
+            xu = np.concatenate([x, u])
+            fd = np.column_stack([(lagrangian_gradient(xu + e) - lagrangian_gradient(xu - e))
+                                  / (2 * h) for e in h * np.eye(N_STATES + N_INPUTS)])
+            hess = vehicle_dynamics_hessian(x, u, mult, p)
+            np.testing.assert_array_equal(hess, hess.T)
+            np.testing.assert_allclose(hess, fd, rtol=0.0,
+                                       atol=1e-6 * max(1.0, np.max(np.abs(fd))))
+
     def test_curvature_chain_rule(self):
         """s-dependent curvature feeds the s-column via the chain rule."""
-        p = VehicleParams(curvature=lambda s: 0.05 * s,
-                          curvature_deriv=lambda s: 0.05)
+        p = CURVED
         rng = np.random.default_rng(1)
         x = rng.uniform(-0.3, 0.3, N_STATES)
         x[0], x[3] = 2.0, 1.5
@@ -146,8 +184,7 @@ class TestJacobians:
 
     def test_problem_callbacks_on_curved_track(self):
         """The OCP's separate df/dx and df/du callbacks match and keep the guard."""
-        p = VehicleParams(curvature=lambda s: 0.05 * s,
-                          curvature_deriv=lambda s: 0.05)
+        p = CURVED
         fx_fun, fu_fun = avp_problem(p).dynamics_jacobians
         rng = np.random.default_rng(2)
         x = rng.uniform(-0.3, 0.3, N_STATES)
