@@ -217,8 +217,8 @@ def _build_model(key: tuple):
 def _build_hessian(key: tuple):
     """The upper triangle of the Hessian of mult' f over (x, u), compiled.
 
-    hess_fun takes the arguments of jac_fun plus the 10 multipliers and returns
-    the entries of ``_UPPER`` in order. Entry (a, b) is sum_i mult_i D_b J[i, a]
+    The compiled function takes the arguments of jac_fun plus the 10
+    multipliers and returns the entries of ``_UPPER`` in order. Entry (a, b) is sum_i mult_i D_b J[i, a]
     over the Jacobian rows, with D_s = d/ds + kappa' d/dkappa and kappa'' = 0,
     and any other D_b the plain partial derivative. It is built apart from
     f and the Jacobians because it takes longer to derive and compile than

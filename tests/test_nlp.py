@@ -379,9 +379,7 @@ class TestSolveSqp:
     def test_seeded_avp_socse3_converges(self, seed):
         """AVP SOCSE-3 from a perfbench-seeded start converges with a passing certificate.
 
-        With the objective Hessian alone these three solves ended in a failed
-        line search at a KKT point; with the Lagrangian Hessian they converge
-        by an accepted step.
+        These seeds need 61-85 SQP iterations, more than most starts.
         """
         rng = np.random.default_rng(seed)
         x0 = np.zeros(10)

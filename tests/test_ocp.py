@@ -33,7 +33,8 @@ class TestAcademicProblem:
         x, u = np.array([0.7]), np.array([-0.2])
         np.testing.assert_allclose(fx(x, u), [[-1.0]])
         np.testing.assert_allclose(fu(x, u), [[1.0]])
-        np.testing.assert_array_equal(ocp.dynamics_hessian(x, u, np.array([3.0])), np.zeros((2, 2)))
+        np.testing.assert_array_equal(ocp.dynamics_hessian(x, u, np.array([3.0])),
+                                      np.zeros((2, 2)))
 
     def test_gradient_and_hessian_consistency(self):
         ocp = academic_problem()

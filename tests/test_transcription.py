@@ -134,7 +134,8 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_academic_hessian_does_not_depend_on_multipliers(self, mode):
-        """The academic dynamics are linear: the Lagrangian Hessian is the objective's, bit for bit."""
+        """The academic dynamics are linear, so the Lagrangian Hessian is the
+        objective's bit for bit, whatever the multipliers."""
         nlp = transcribe(academic_problem(), CollocationConfig(M=5, mode=mode))
         rng = np.random.default_rng(3)
         z = rng.standard_normal(nlp.n_vars)
