@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="method label, e.g. SOCSE-8 (default), SOC-5, MS-50")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=MAX_ITERS, dest="max_iters")
+    p.add_argument("--max-iters", type=_at_least(1), default=MAX_ITERS, dest="max_iters")
     p.add_argument("--out", help=out_help)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="comma-separated method labels")
     p.add_argument("--config", help=config_help)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
-    p.add_argument("--max-iters", type=int, default=MAX_ITERS, dest="max_iters")
+    p.add_argument("--max-iters", type=_at_least(1), default=MAX_ITERS, dest="max_iters")
     p.add_argument("--out", help=out_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--skip-reference", action="store_true",

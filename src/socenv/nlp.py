@@ -3,18 +3,17 @@
 Targets small NLPs (tens to a few hundred variables) with smooth nonlinear
 equality constraints, two-sided linear inequalities ``lo <= A z <= hi`` and
 optional nonlinear inequalities ``t(z) <= 0``.  Derivatives are required:
-the objective gradient and the equality Jacobian come from the problem.
+the objective gradient, the equality Jacobian and the Lagrangian Hessian
+come from the problem.
 
-One Hessian policy per problem: when it supplies a Lagrangian Hessian, the
-QP uses it with its eigenvalues floored at ``GN_FLOOR``, evaluated at z0
-with zero multipliers and then at every accepted point with the latest QP
-equality multipliers; when it supplies none, a Powell-damped BFGS
-approximation started from the identity.  Nothing switches between the two
-during a solve.  The floor acts on the full space, because the exact
-Lagrangian Hessian of a collocation NLP is indefinite away from the optimum
-and the QP only shifts its reduced Hessian when a Cholesky factorisation
-fails: without the floor the AVP SOC-5, SOCSE-5 and SOCSE-8 solves end at
-the iteration cap.
+One Hessian policy: the QP uses the problem's Lagrangian Hessian with its
+eigenvalues floored at ``GN_FLOOR``, evaluated at z0 with zero multipliers
+and then at every accepted point with the latest QP equality multipliers.
+The floor acts on the full space, because the exact Lagrangian Hessian of a
+collocation NLP is indefinite away from the optimum: without the floor the
+AVP SOC-5, SOCSE-5 and SOCSE-8 solves end at the iteration cap.  The floored
+Hessian is positive definite, so every QP the solver builds is strictly
+convex.
 
 Steps are globalized by a backtracking line search on an l1 exact-penalty
 merit function whose penalty is kept above the largest multiplier estimate;
@@ -118,9 +117,9 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> 
 
     An equality row that depends on the others is dropped with multiplier 0
     when it is consistent with them; otherwise the status is "infeasible".
-    H must be positive definite on the null space of A_eq (the reduced
-    Hessian is regularized if it is not).  Deterministic: fixed pivoting and
-    tie-breaking by lowest constraint index.
+    H must be positive definite on the null space of A_eq; ``ValueError`` is
+    raised when it is not.  Deterministic: fixed pivoting and tie-breaking by
+    lowest constraint index.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -181,18 +180,11 @@ def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
     Returns (x, signed multiplier per row, active sides, status, iterations).
     """
     from scipy.linalg import cho_factor, cho_solve
-    n = g.size
     m = A.shape[0]
-    diag_scale = max(1.0, float(np.max(np.abs(np.diag(H)), initial=0.0)))
-    shift = 0.0
-    while True:
-        try:
-            chol = cho_factor(H + shift * np.eye(n) if shift else H)
-            break
-        except np.linalg.LinAlgError:
-            shift = max(2.0 * shift, 1e-10 * diag_scale)
-            if shift > 1e6 * diag_scale:
-                raise ValueError("QP Hessian could not be regularized")
+    try:
+        chol = cho_factor(H)
+    except np.linalg.LinAlgError:
+        raise ValueError("QP Hessian is not positive definite on the null space of A_eq") from None
 
     def hsolve(v):
         return cho_solve(chol, v)
@@ -363,7 +355,8 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (nlp.n_vars,):
         raise ValueError(f"z0 has shape {z.shape}, expected ({nlp.n_vars},)")
-    n = nlp.n_vars
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     has_nl = nlp.ineq_fun is not None
     nl_jac = _ineq_jac(nlp) if has_nl else None
@@ -388,7 +381,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     Jt = nl_jac(z) if has_nl else None
 
     lam = np.zeros(c.size)
-    B = model_hessian(z, lam) if nlp.hessian is not None else np.eye(n)
+    B = model_hessian(z, lam)
     sigma = 1.0
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
@@ -403,25 +396,22 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
             ineq = max(ineq, float(np.max(np.maximum(t_vals, 0.0), initial=0.0)))
         return float(np.max(np.abs(c), initial=0.0)), ineq
 
-    def lagr_grad(gg, JJ, JJt):
-        """Gradient of the Lagrangian at the current multiplier estimates."""
-        r = gg + JJ.T @ lam
-        if nu_lin.size:
-            r = r + nlp.A_ineq.T @ nu_lin
-        if has_nl and nu_nl.size:
-            r = r + JJt.T @ nu_nl
-        return r
-
     def kkt_point():
         """The stopping test: feasible and stationary at the latest QP multipliers."""
-        return (max(violations()) <= EQ_TOL
-                and float(np.max(np.abs(lagr_grad(g, J, Jt)), initial=0.0)) <= KKT_TOL)
+        if max(violations()) > EQ_TOL:
+            return False
+        r = g + J.T @ lam
+        if nu_lin.size:
+            r = r + nlp.A_ineq.T @ nu_lin
+        if nu_nl.size:
+            r = r + Jt.T @ nu_nl
+        return float(np.max(np.abs(r), initial=0.0)) <= KKT_TOL
 
     def line_search(d):
         """Backtrack on the l1 merit along d, trying one second-order correction.
 
-        Returns (alpha, accepted point, its ``evaluate`` values), or None when
-        no trial within MAX_BACKTRACKS is accepted.
+        Returns (accepted point, its ``evaluate`` values), or None when no
+        trial within MAX_BACKTRACKS is accepted.
         """
         merit0 = _merit(f, c, t_vals, lin_viol, sigma)
         viol1_0 = (merit0 - f) / sigma
@@ -442,7 +432,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
             vals, m_try = try_point(z_try)
             bound = merit0 + LS_ARMIJO * alpha * min(descent, 0.0)
             if m_try <= bound:
-                return alpha, z_try, vals
+                return z_try, vals
             if not tried_soc and c.size and vals is not None:
                 # Second-order correction: the full step satisfies the
                 # linearized equalities but curvature reinflates |c|; a
@@ -457,7 +447,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
                     z_soc = z_try + alpha * dc
                     vals_soc, m_soc = try_point(z_soc)
                     if m_soc <= bound:
-                        return alpha, z_soc, vals_soc
+                        return z_soc, vals_soc
             alpha *= LS_BACKTRACK
         return None
 
@@ -507,31 +497,11 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         if step is None:
             status = "converged" if kkt_point() else "line_search_failure"
             break
-        alpha, z_try, vals = step
-
-        s = alpha * d
-        g_new = nlp.gradient(z_try)
-        J_new = nlp.eq_jac(z_try)
-        Jt_new = nl_jac(z_try) if has_nl else None
-
-        if nlp.hessian is not None:
-            B = model_hessian(z_try, lam)
-        else:
-            y = lagr_grad(g_new, J_new, Jt_new) - lagr_grad(g, J, Jt)
-            Bs = B @ s
-            sBs = float(s @ Bs)
-            sy = float(s @ y)
-            if sBs > 1e-14:
-                if sy < 0.2 * sBs:
-                    theta = 0.8 * sBs / (sBs - sy)
-                    y = theta * y + (1.0 - theta) * Bs
-                    sy = float(s @ y)
-                if sy > 1e-14:
-                    B = B + np.outer(y, y) / sy - np.outer(Bs, Bs) / sBs
-                    B = 0.5 * (B + B.T)
-
-        z, g, J, Jt = z_try, g_new, J_new, Jt_new
-        f, c, t_vals, lin_viol = vals
+        z, (f, c, t_vals, lin_viol) = step
+        g = nlp.gradient(z)
+        J = nlp.eq_jac(z)
+        Jt = nl_jac(z) if has_nl else None
+        B = model_hessian(z, lam)
 
     max_eq_residual, max_ineq_violation = violations()
     report = SolveReport(

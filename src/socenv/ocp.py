@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .polynomial import TimeMap
+
 Vector = np.ndarray
 
 
@@ -27,9 +29,10 @@ class OcpProblem:
     collocation SQP uses it for the constraint curvature of its Lagrangian
     Hessian.  ``stage_cost_grad(x, u)`` returns (l_x, l_u)
     and ``stage_cost_hess(x, u)`` returns (l_xx, l_xu, l_uu).  A
-    ``terminal_cost`` comes with its ``terminal_cost_grad``.
-    ``terminal_constraint`` follows the g(x) <= 0 convention.  All callbacks
-    must be pure.
+    ``terminal_cost`` comes with its ``terminal_cost_grad`` and its
+    ``terminal_cost_hess`` (the n_x square Hessian).  ``terminal_constraint``
+    follows the g(x) <= 0 convention.  The horizon [t0, tf] is finite.  All
+    callbacks must be pure.
     """
 
     n_x: int
@@ -49,16 +52,18 @@ class OcpProblem:
     tf: float
     terminal_cost: Optional[Callable[[Vector], float]] = None
     terminal_cost_grad: Optional[Callable[[Vector], Vector]] = None
+    terminal_cost_hess: Optional[Callable[[Vector], np.ndarray]] = None
     terminal_constraint: Optional[Callable[[Vector], Vector]] = None
     name: str = "ocp"
 
     def __post_init__(self):
-        if self.terminal_cost is not None and self.terminal_cost_grad is None:
-            raise ValueError("terminal_cost needs terminal_cost_grad")
+        if self.terminal_cost is not None:
+            for name in ("terminal_cost_grad", "terminal_cost_hess"):
+                if getattr(self, name) is None:
+                    raise ValueError(f"terminal_cost needs {name}")
         for attr in ("x_lower", "x_upper", "u_lower", "u_upper", "x0"):
             setattr(self, attr, np.asarray(getattr(self, attr), dtype=float))
-        if not self.tf > self.t0:
-            raise ValueError(f"tf={self.tf} must exceed t0={self.t0}")
+        TimeMap(self.t0, self.tf)   # rejects a non-finite or empty horizon
         if np.any(self.x_lower > self.x_upper) or np.any(self.u_lower > self.u_upper):
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         if np.any(self.x0 < self.x_lower) or np.any(self.x0 > self.x_upper):

@@ -13,6 +13,7 @@ to 32 but conditioning degrades beyond that).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,9 @@ class TimeMap:
     tf: float
 
     def __post_init__(self):
+        for name in ("t0", "tf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.tf > self.t0:
             raise ValueError(f"tf must exceed t0, got [{self.t0}, {self.tf}]")
 

@@ -13,7 +13,8 @@ Two routes are provided:
 
 The stage-cost integral is evaluated as the full quadrature sum over all N
 nodes plus the terminal cost at the right endpoint; the terminal cost is not
-scaled by the time map.
+scaled by the time map.  Both routes supply the objective gradient, the
+equality Jacobian and the Lagrangian Hessian.
 """
 
 from __future__ import annotations
@@ -124,17 +125,17 @@ class MsLayout:
 class NlpProblem:
     """Dense NLP: smooth objective, nonlinear equalities, linear two-sided inequalities.
 
-    The gradient and the equality Jacobian are required.  ``hessian(z, lam)``
-    is the Hessian of the Lagrangian f + lam' c at the equality multipliers
-    ``lam``, or only its objective part where the constraint curvature is not
-    formed: the solver floors its eigenvalues and uses it at every accepted
-    point.  Without one the solver uses damped BFGS from the identity for the
-    whole solve.
+    The gradient, the equality Jacobian and ``hessian(z, lam)`` are required.
+    ``hessian`` is the Hessian of the Lagrangian f + lam' c at the equality
+    multipliers ``lam``, or only its objective part where the constraint
+    curvature is not formed: the solver floors its eigenvalues and uses it at
+    every accepted point.
     """
 
     n_vars: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eq_fun: Callable[[np.ndarray], np.ndarray]
     eq_jac: Callable[[np.ndarray], np.ndarray]
     A_ineq: np.ndarray
@@ -142,7 +143,6 @@ class NlpProblem:
     ineq_upper: np.ndarray
     ineq_fun: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ineq_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     layout: object = None
 
 
@@ -196,7 +196,8 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     the basis tables with stacked model derivatives, and the OCP callbacks
     are the only per-node work.  The Hessian is the Lagrangian's: node k
     contributes phi_k phi_k' (x) scale * (w_k * l'' - d2(lam_k' f)), where
-    lam_k are the multipliers of its collocation rows.
+    lam_k are the multipliers of its collocation rows; a terminal cost adds
+    d2(phi) (x) phi_end phi_end' to the state block.
     """
     _check_dof(ocp, cfg)
     layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u)
@@ -211,6 +212,7 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     w = grid.weights
 
     n_x, n_c = ocp.n_x, ocp.n_x + ocp.n_u
+    n_xz = n_x * layout.rows    # state coefficients lead the decision vector
 
     def node_values(z):
         ax, au = layout.decode(z)
@@ -230,22 +232,23 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
         g = scale * (phi_nodes.T @ (w[:, None] * G)).T.ravel()
         if ocp.terminal_cost is not None:
             gphi = ocp.terminal_cost_grad(phi_nodes[-1] @ ax)
-            g[:n_x * layout.rows] += np.outer(gphi, phi_nodes[-1]).ravel()
+            g[:n_xz] += np.outer(gphi, phi_nodes[-1]).ravel()
         return g
 
-    hessian = None
-    if ocp.terminal_cost is None:
-        phi_outer = phi_nodes[:, :, None] * phi_nodes[:, None, :]   # (N, M+1, M+1)
+    phi_outer = phi_nodes[:, :, None] * phi_nodes[:, None, :]   # (N, M+1, M+1)
 
-        def hessian(z, lam):
-            _, X, U = node_values(z)
-            Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
-                           for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
-            # The collocation rows are dphi_k' alpha - scale * f(X_k, U_k).
-            Hf = np.array([ocp.dynamics_hessian(x, u, m) for x, u, m in
-                           zip(X, U, np.asarray(lam)[n_x:].reshape(-1, n_x))])
-            H = np.tensordot(scale * (w[:, None, None] * Hl - Hf), phi_outer, axes=(0, 0))
-            return H.transpose(0, 2, 1, 3).reshape(layout.n_vars, layout.n_vars)
+    def hessian(z, lam):
+        ax, X, U = node_values(z)
+        Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
+                       for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
+        # The collocation rows are dphi_k' alpha - scale * f(X_k, U_k).
+        Hf = np.array([ocp.dynamics_hessian(x, u, m) for x, u, m in
+                       zip(X, U, np.asarray(lam)[n_x:].reshape(-1, n_x))])
+        H = np.tensordot(scale * (w[:, None, None] * Hl - Hf), phi_outer, axes=(0, 0))
+        H = H.transpose(0, 2, 1, 3).reshape(layout.n_vars, layout.n_vars)
+        if ocp.terminal_cost is not None:
+            H[:n_xz, :n_xz] += np.kron(ocp.terminal_cost_hess(phi_nodes[-1] @ ax), phi_outer[-1])
+        return H
 
     def eq_fun(z):
         ax, X, U = node_values(z)
@@ -296,8 +299,8 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
     """RK4 multiple-shooting NLP with piecewise-constant controls on ``steps`` intervals.
 
     Each interval's state map is ``MS_SUBSTEPS`` RK4 steps.  The Hessian is
-    the objective's only and ignores the multipliers: the second derivatives
-    of the RK4 map are not formed.
+    the objective's only, terminal cost included, and ignores the
+    multipliers: the second derivatives of the RK4 map are not formed.
     """
     if steps < 1:
         raise ValueError("need at least one shooting interval")
@@ -342,21 +345,21 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
             gx[K] += ocp.terminal_cost_grad(X[K])
         return g
 
-    hessian = None
-    if ocp.terminal_cost is None:
-        def hessian(z, lam):
-            X, U = layout.states(z), layout.controls(z)
-            H = np.zeros((layout.n_vars, layout.n_vars))
-            off = (K + 1) * n_x
-            for k in range(K):
-                lxx, lxu, luu = ocp.stage_cost_hess(X[k], U[k])
-                sx = slice(k * n_x, (k + 1) * n_x)
-                su = slice(off + k * n_u, off + (k + 1) * n_u)
-                H[sx, sx] += dt * lxx
-                H[sx, su] += dt * lxu
-                H[su, sx] += dt * lxu.T
-                H[su, su] += dt * luu
-            return H
+    def hessian(z, lam):
+        X, U = layout.states(z), layout.controls(z)
+        H = np.zeros((layout.n_vars, layout.n_vars))
+        off = (K + 1) * n_x
+        for k in range(K):
+            lxx, lxu, luu = ocp.stage_cost_hess(X[k], U[k])
+            sx = slice(k * n_x, (k + 1) * n_x)
+            su = slice(off + k * n_u, off + (k + 1) * n_u)
+            H[sx, sx] += dt * lxx
+            H[sx, su] += dt * lxu
+            H[su, sx] += dt * lxu.T
+            H[su, su] += dt * luu
+        if ocp.terminal_cost is not None:
+            H[K * n_x:off, K * n_x:off] += ocp.terminal_cost_hess(X[K])
+        return H
 
     n_eq = n_x * (K + 1)
 

@@ -113,6 +113,7 @@ class TestTrajectoryCost:
             x0=base.x0, t0=0.0, tf=1.0,
             terminal_cost=lambda x: float(x[0] ** 2),
             terminal_cost_grad=lambda x: np.array([2.0 * x[0]]),
+            terminal_cost_hess=lambda x: np.array([[2.0]]),
         )
         cost = trajectory_cost(ocp, lambda ts: 3.0 * np.ones((np.asarray(ts).size, 1)),
                                lambda ts: np.zeros((np.asarray(ts).size, 1)))

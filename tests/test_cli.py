@@ -189,6 +189,14 @@ class TestParser:
             ns = parser.parse_args([sub, "--problem", "academic"])
             assert ns.max_iters == MAX_ITERS
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_iters_below_one_is_usage_error(self, capsys, value):
+        for sub in ("solve", "bench"):
+            code, out, err = run(capsys, [sub, "--problem", "academic", "--method", "SOCSE-5",
+                                          "--max-iters", value])
+            assert code == EXIT_USAGE
+            assert out == "" and "--max-iters" in err and "at least 1" in err
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--problem", "academic", "--format", "csv"],
         ["nodes", "--nodes", "3", "--max-iters", "5"],
@@ -236,6 +244,8 @@ class TestConfig:
             ("vehicle: {s_target: -.inf}\n", "s_target must be finite"),
             ("vehicle: {q_diag: [1, 1, 1, 1, .nan, 1, 1, 1, 1, 1]}\n", "Q must have finite"),
             ("vehicle: {r_diag: [1, .inf]}\n", "R must have finite"),
+            ("problem: {tf: .inf}\n", "tf must be finite"),
+            ("problem: {t0: -.inf}\n", "t0 must be finite"),
         ]])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "bad.yaml"

@@ -191,6 +191,25 @@ def assert_qp_kkt(res, H, g, A_eq, b_eq, A, lo, hi, tol=1e-8):
         assert abs(mu[j]) * abs(vals[j] - bound) <= tol
 
 
+class TestQpHessian:
+    """The QP needs H positive definite on the null space of A_eq, not on the full space."""
+
+    @pytest.mark.parametrize("A_eq, b_eq", [(None, None), (np.array([[1.0, 0.0]]), np.zeros(1))],
+                             ids=["no_equalities", "one_equality"])
+    def test_indefinite_on_null_space_raises(self, A_eq, b_eq):
+        with pytest.raises(ValueError, match="not positive definite"):
+            qp_active_set(np.diag([1.0, -1.0]), np.zeros(2), A_eq, b_eq)
+
+    def test_indefinite_off_null_space_solves(self):
+        H = np.diag([-1.0, 1.0])
+        g = np.array([0.5, -2.0])
+        A_eq, b_eq = np.array([[1.0, 0.0]]), np.array([0.5])
+        A, lo, hi = np.array([[1.0, 1.0]]), np.array([-np.inf]), np.array([1.0])
+        res = qp_active_set(H, g, A_eq, b_eq, A, lo, hi)
+        assert_qp_kkt(res, H, g, A_eq, b_eq, A, lo, hi)
+        np.testing.assert_allclose(res.d, [0.5, 0.5], atol=1e-12)
+
+
 class TestQpEqualityElimination:
     H = np.eye(3)
     g = np.array([-1.0, 0.5, 2.0])
@@ -274,6 +293,7 @@ def small_nlp(n=2):
         n_vars=n,
         objective=lambda z: 0.5 * float(z @ z),
         gradient=lambda z: z.copy(),
+        hessian=lambda z, lam: np.eye(n),
         eq_fun=lambda z: np.array([z[0] - 1.0]),
         eq_jac=lambda z: np.eye(n)[:1],
         A_ineq=np.zeros((0, n)),
@@ -298,6 +318,7 @@ class TestSolveSqp:
             n_vars=1,
             objective=lambda z: float((z[0] - 2.0) ** 2),
             gradient=lambda z: np.array([2.0 * (z[0] - 2.0)]),
+            hessian=lambda z, lam: np.array([[2.0]]),
             eq_fun=lambda z: np.zeros(0),
             eq_jac=lambda z: np.zeros((0, 1)),
             A_ineq=np.eye(1),
@@ -316,8 +337,14 @@ class TestSolveSqp:
         def grad(z):
             r = z[1] - z[0] ** 2
             return np.array([-2.0 * (1 - z[0]) - 4.0 * z[0] * r, 2.0 * r])
+
+        def hess(z, lam):
+            """Objective Hessian plus lam times the circle's Hessian 2I."""
+            H = np.array([[2.0 - 4.0 * z[1] + 12.0 * z[0] ** 2, -4.0 * z[0]],
+                          [-4.0 * z[0], 2.0]])
+            return H + 2.0 * lam[0] * np.eye(2)
         nlp = NlpProblem(
-            n_vars=2, objective=obj, gradient=grad,
+            n_vars=2, objective=obj, gradient=grad, hessian=hess,
             eq_fun=lambda z: np.array([z @ z - 1.0]),
             eq_jac=lambda z: 2.0 * z[None, :],
             A_ineq=np.zeros((0, 2)),
@@ -336,6 +363,7 @@ class TestSolveSqp:
             n_vars=2,
             objective=lambda z: float((z[0] - 2.0) ** 2 + z[1] ** 2),
             gradient=lambda z: np.array([2.0 * (z[0] - 2.0), 2.0 * z[1]]),
+            hessian=lambda z, lam: 2.0 * np.eye(2),
             eq_fun=lambda z: np.zeros(0),
             eq_jac=lambda z: np.zeros((0, 2)),
             A_ineq=np.zeros((0, 2)),
@@ -365,15 +393,37 @@ class TestSolveSqp:
         assert r1.iterations == r2.iterations
         assert r1.objective == r2.objective
 
-    def test_bfgs_fallback_without_model_hessian(self):
-        nlp = transcribe(academic_problem(), CollocationConfig(M=5))
-        nlp.hessian = None
-        z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters=300)
-        assert rep.status == "converged"
-
     def test_rejects_bad_initial_shape(self):
         with pytest.raises(ValueError):
             solve_sqp(small_nlp(), np.zeros(3))
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_max_iters_below_one(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_sqp(small_nlp(), np.zeros(2), max_iters=max_iters)
+
+    def test_inconsistent_linearisation_ends_as_qp_failure(self):
+        """min 1/2 z^2 s.t. z - 2 = 0, 0 <= z <= 1 has no feasible point.
+
+        The first QP is infeasible and its first relaxation (target z = 1)
+        is not, so the step reaches z = 1; there the QP and all five
+        relaxations are infeasible and the solve ends as ``qp_failure``.
+        """
+        nlp = NlpProblem(
+            n_vars=1,
+            objective=lambda z: 0.5 * float(z @ z),
+            gradient=lambda z: z.copy(),
+            hessian=lambda z, lam: np.eye(1),
+            eq_fun=lambda z: z - 2.0,
+            eq_jac=lambda z: np.eye(1),
+            A_ineq=np.eye(1),
+            ineq_lower=np.zeros(1), ineq_upper=np.ones(1),
+        )
+        z, rep = solve_sqp(nlp, np.zeros(1))
+        assert rep.status == "qp_failure"
+        assert rep.iterations == 2
+        assert rep.relaxed_qp_steps == 6
+        assert z[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [5, 27, 98])
     def test_seeded_avp_socse3_converges(self, seed):
@@ -427,7 +477,11 @@ class TestSolveSqp:
         assert np.array_equal(z, z0)
 
     def test_domain_error_at_trial_point_backtracks(self):
-        """min (z-2)^2 with the objective undefined past z = 3: the first trial, z = 4, is rejected."""
+        """min (z-2)^2 with the objective undefined past z = 3: the first trial, z = 4, is rejected.
+
+        The model Hessian is 1, half the true curvature, so the full step
+        overshoots to z = 4; with the true 2 it would land on z = 2.
+        """
         trials = []
 
         def obj(z):
@@ -438,6 +492,7 @@ class TestSolveSqp:
         nlp = NlpProblem(
             n_vars=1, objective=obj,
             gradient=lambda z: np.array([2.0 * (z[0] - 2.0)]),
+            hessian=lambda z, lam: np.eye(1),
             eq_fun=lambda z: np.zeros(0),
             eq_jac=lambda z: np.zeros((0, 1)),
             A_ineq=np.zeros((0, 1)),

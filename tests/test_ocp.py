@@ -73,6 +73,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="tf"):
             OcpProblem(**kw)
 
+    @pytest.mark.parametrize("name, value", [("tf", np.inf), ("t0", -np.inf), ("tf", np.nan)])
+    def test_rejects_non_finite_horizon(self, name, value):
+        kw = self.base_kwargs()
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OcpProblem(**kw)
+
     def test_rejects_crossed_bounds(self):
         kw = self.base_kwargs()
         kw["x_lower"], kw["x_upper"] = kw["x_upper"], kw["x_lower"] - 2.0
@@ -92,8 +99,16 @@ class TestValidation:
             OcpProblem(**kw)
 
     def test_rejects_terminal_cost_without_gradient(self):
+        """A terminal cost needs both its gradient and its Hessian."""
         kw = self.base_kwargs()
         kw["terminal_cost"] = lambda x: float(x @ x)
+        with pytest.raises(ValueError, match="terminal_cost_grad"):
+            OcpProblem(**kw)
+        kw["terminal_cost_grad"] = lambda x: 2.0 * x
+        with pytest.raises(ValueError, match="terminal_cost_hess"):
+            OcpProblem(**kw)
+        del kw["terminal_cost_grad"]
+        kw["terminal_cost_hess"] = lambda x: 2.0 * np.eye(1)
         with pytest.raises(ValueError, match="terminal_cost_grad"):
             OcpProblem(**kw)
         kw["terminal_cost_grad"] = lambda x: 2.0 * x

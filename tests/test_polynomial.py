@@ -194,6 +194,12 @@ class TestTimeMap:
         assert tm.to_reference(3.0) == pytest.approx(0.0)
         assert tm.scale() == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("t0, tf, name", [(0.0, np.inf, "tf"), (-np.inf, 1.0, "t0"),
+                                              (np.nan, 1.0, "t0")])
+    def test_rejects_non_finite_endpoints(self, t0, tf, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TimeMap(t0, tf)
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-10, 10), st.floats(0.1, 20), st.floats(-1, 1))
     def test_inverse_property(self, t0, width, tau):

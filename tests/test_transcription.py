@@ -184,14 +184,14 @@ class TestMultiChannelDerivatives:
         self.check(nlp, 0.5 * rng.standard_normal(nlp.n_vars))
 
     def test_terminal_cost_gradient(self):
+        """Gradient and Hessian of a non-quadratic terminal cost, in both transcriptions."""
         ocp = academic_problem()
-        ocp.terminal_cost = lambda x: float(2.0 * x[0] ** 2 + x[0])
-        ocp.terminal_cost_grad = lambda x: np.array([4.0 * x[0] + 1.0])
-        nlp = transcribe(ocp, CollocationConfig(M=5))
+        ocp.terminal_cost = lambda x: float(2.0 * x[0] ** 2 + x[0] + 0.1 * x[0] ** 4)
+        ocp.terminal_cost_grad = lambda x: np.array([4.0 * x[0] + 1.0 + 0.4 * x[0] ** 3])
+        ocp.terminal_cost_hess = lambda x: np.array([[4.0 + 1.2 * x[0] ** 2]])
         rng = np.random.default_rng(9)
-        z = rng.standard_normal(nlp.n_vars)
-        np.testing.assert_allclose(nlp.gradient(z), fd_gradient(nlp.objective, z, self.STEP),
-                                   rtol=0.0, atol=self.ATOL)
+        for nlp in (transcribe(ocp, CollocationConfig(M=5)), transcribe_multiple_shooting(ocp, 5)):
+            self.check(nlp, rng.standard_normal(nlp.n_vars))
 
 
 class TestObjectiveQuadrature:
