@@ -17,16 +17,17 @@ vehicle can start from and come to rest:
 
     xdot = lam * f_dyn(x, u) + (1 - lam) * f_kin(x, u)
 
-The model and its Jacobians are derived symbolically once per parameter set
-and compiled into three math-module functions: f; (df/dx, df/du) in one
-call; and the Hessian over (x, u) of mult' f for a multiplier vector mult.
-The first two are compiled with the model, the Hessian on its first call,
-so building a problem or integrating it never pays for it. The curvature
-kappa_c(s) and its s-derivative kappa' enter as runtime arguments; kappa'
-scales the df/dkappa term of the chain rule in every s-derivative. The
-Hessian takes kappa'' = 0, which is exact for kappa linear in s (clothoid
-track segments); it only shapes the SQP's quadratic model, while the
-solver's stopping test uses the exact first derivatives.
+The model and its derivatives are derived symbolically by
+``vehicle_codegen`` and committed as the generated module ``vehicle_model``:
+three plain-float math-module functions, f; (df/dx, df/du) in one call; and
+the Hessian over (x, u) of mult' f for a multiplier vector mult. They take
+the physical parameters as arguments, so nothing is derived or compiled at
+run time and sympy is not imported. The curvature kappa_c(s) and its
+s-derivative kappa' enter as runtime arguments; kappa' scales the df/dkappa
+term of the chain rule in every s-derivative. The Hessian takes
+kappa'' = 0, which is exact for kappa linear in s (clothoid track
+segments); it only shapes the SQP's quadratic model, while the solver's
+stopping test uses the exact first derivatives.
 
 All numeric parameter defaults are artifact-chosen compact-EV-scale values
 (the benchmark properties do not depend on the exact numbers); see
@@ -36,14 +37,14 @@ All numeric parameter defaults are artifact-chosen compact-EV-scale values
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 import yaml
 
+from . import vehicle_model
 from .errors import DomainError, SingularCurvilinearError
 from .ocp import OcpProblem
 
@@ -59,7 +60,7 @@ _SCALAR_FIELDS = (
     "kappa_const", "w_min", "w_max", "s_target", "blend_sharpness", "v_ref",
     "q_wp", "q_theta_p",
 )
-_UPPER = np.triu_indices(N_STATES + N_INPUTS)   # (x, u) Hessian entries compiled
+_UPPER = np.triu_indices(N_STATES + N_INPUTS)   # (x, u) Hessian entries generated
 
 
 def _default_q() -> np.ndarray:
@@ -127,117 +128,10 @@ class VehicleParams:
     def kappa_at(self, s: float) -> float:
         return self.curvature(s) if self.curvature is not None else self.kappa_const
 
-    def _model_key(self) -> tuple:
-        return (self.mass, self.inertia_z, self.l_f, self.l_r, self.c_alpha_f,
-                self.c_alpha_r, self.a_max, self.drive_split, self.roll_resist,
-                self.drag_coeff, self.v_eps)
 
-
-@lru_cache(maxsize=8)
-def _symbolic_model(key: tuple):
-    """The fused model as sympy expressions: (arguments, f, [df/dx df/du]).
-
-    The arguments are [*x, *u, kappa, lambda, dkappa/ds]; f does not depend on
-    the last. The (10, 12) Jacobian has df/dkappa * dkappa/ds added to its
-    s-column, because kappa_c depends on s.
-    """
-    (mass, iz, lf, lr, caf, car, a_max, split, c0, c2, eps) = key
-    vx, vy, r, s, w, th, wp, thp, dl, tr = sp.symbols(
-        "vx vy r s w th wp thp dl tr", real=True)
-    u1, u2 = sp.symbols("u1 u2", real=True)   # u = [t_r_dot, delta_dot]
-    kap, dkap, lam = sp.symbols("kap dkap lam", real=True)
-
-    x_syms = [vx, vy, r, s, w, th, wp, thp, dl, tr]
-    u_syms = [u1, u2]
-
-    vxg = sp.sqrt(vx ** 2 + eps ** 2)
-    f_res = c0 * sp.tanh(vx / eps) + c2 * vx * vxg
-    fx_tot = tr * mass * a_max
-    fxf, fxr = split * fx_tot, (1 - split) * fx_tot
-    alpha_f = dl - sp.atan((vy + lf * r) / vxg)
-    alpha_r = -sp.atan((vy - lr * r) / vxg)
-    fyf, fyr = caf * alpha_f, car * alpha_r
-
-    sdot = (vx * sp.cos(th) - vy * sp.sin(th)) / (1 - kap * w)
-    f_dyn = sp.Matrix([
-        (fxf * sp.cos(dl) + fxr - fyf * sp.sin(dl) - f_res + mass * r * vy) / mass,
-        (fxf * sp.sin(dl) + fyr + fyf * sp.cos(dl) - mass * r * vx) / mass,
-        (lf * (fyf * sp.cos(dl) + fxf * sp.sin(dl)) - lr * fyr) / iz,
-        sdot,
-        vx * sp.sin(th) + vy * sp.cos(th),
-        r - kap * sdot,
-        vx * sp.sin(thp) + vy * sp.cos(thp),
-        r,
-        u2,
-        u1,
-    ])
-
-    length = lf + lr
-    ax = (fx_tot - f_res) / mass
-    steer_rate_term = ax * sp.tan(dl) + vx * u2 / sp.cos(dl) ** 2
-    psidot_k = vx * sp.tan(dl) / length
-    f_kin = sp.Matrix([
-        ax,
-        (lr / length) * steer_rate_term,
-        steer_rate_term / length,
-        sdot,
-        vx * sp.sin(th) + vy * sp.cos(th),
-        psidot_k - kap * sdot,
-        vx * sp.sin(thp) + vy * sp.cos(thp),
-        psidot_k,
-        u2,
-        u1,
-    ])
-
-    f = lam * f_dyn + (1 - lam) * f_kin
-    jac_x = f.jacobian(x_syms)
-    jac_x[:, 3] += f.diff(kap) * dkap
-    return x_syms + u_syms + [kap, lam, dkap], f, jac_x.row_join(f.jacobian(u_syms))
-
-
-@lru_cache(maxsize=8)
-def _build_model(key: tuple):
-    """f and its Jacobians compiled into two math-module functions.
-
-    f_fun(*x, *u, kappa, lambda) returns the 10 derivatives. jac_fun takes the
-    same arguments plus dkappa/ds and returns df/dx (10x10) then df/du (10x2),
-    each flattened row by row. Both take and return plain floats; a structural
-    zero comes back as the int 0.
-    """
-    args, f, jac = _symbolic_model(key)
-    # The model is called one point at a time (RK4 stages, collocation nodes):
-    # plain floats through the math module cost a third of a numpy evaluation.
-    f_fun = sp.lambdify(args[:-1], list(f), "math", cse=True)
-    jac_fun = sp.lambdify(args, list(jac[:, :N_STATES]) + list(jac[:, N_STATES:]),
-                          "math", cse=True)
-    return f_fun, jac_fun
-
-
-@lru_cache(maxsize=8)
-def _build_hessian(key: tuple):
-    """The upper triangle of the Hessian of mult' f over (x, u), compiled.
-
-    The compiled function takes the arguments of jac_fun plus the 10
-    multipliers and returns the entries of ``_UPPER`` in order. Entry (a, b) is sum_i mult_i D_b J[i, a]
-    over the Jacobian rows, with D_s = d/ds + kappa' d/dkappa and kappa'' = 0,
-    and any other D_b the plain partial derivative. It is built apart from
-    f and the Jacobians because it takes longer to derive and compile than
-    both of them, and only the collocation SQP needs it.
-    """
-    args, _, jac = _symbolic_model(key)
-    xu, kap, dkap = args[:N_STATES + N_INPUTS], args[-3], args[-1]
-    mult = sp.symbols(f"m0:{N_STATES}", real=True)
-
-    def total_derivative(expr, b):
-        out = expr.diff(xu[b])
-        return out + dkap * expr.diff(kap) if b == 3 else out
-
-    entries = []
-    for a, b in zip(*_UPPER):
-        terms = [mult[i] * total_derivative(jac[i, a], b)
-                 for i in range(N_STATES) if jac[i, a] != 0]
-        entries.append(sp.Add(*terms))
-    return sp.lambdify(args + list(mult), entries, "math", cse=True)
+# The physical parameters of a VehicleParams, in the order the generated
+# functions take them last.
+_model_params = operator.attrgetter(*vehicle_model.PARAMS)
 
 
 def _model_point(x, u, p: VehicleParams) -> list:
@@ -250,10 +144,11 @@ def _model_point(x, u, p: VehicleParams) -> list:
     return point + [kap, p.fusion_lambda]
 
 
-def _evaluate(fun, args: list) -> np.ndarray:
-    """fun(*args) as a float array; DomainError where it overflows, fails or is not finite."""
+def _evaluate(fun, args: list, p: VehicleParams) -> np.ndarray:
+    """fun(*args, *params) as a float array; DomainError where it overflows,
+    fails or is not finite."""
     try:
-        out = fun(*args)
+        out = fun(*args, *_model_params(p))
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"vehicle model undefined: {exc}") from exc
     if not math.isfinite(sum(args) + sum(out)):
@@ -268,9 +163,7 @@ def vehicle_dynamics(x, u, p: VehicleParams) -> np.ndarray:
     at 1 - kappa*w ~ 0, and a plain DomainError at a non-finite state or
     control, or where the model overflows or leaves a math-function domain.
     """
-    point = _model_point(x, u, p)
-    f_fun, _ = _build_model(p._model_key())
-    return _evaluate(f_fun, point)
+    return _evaluate(vehicle_model.f, _model_point(x, u, p), p)
 
 
 def _derivative_point(x, u, p: VehicleParams) -> list:
@@ -284,8 +177,7 @@ def vehicle_jacobians(x, u, p: VehicleParams):
 
     The two are views of one array. Raises the DomainErrors of vehicle_dynamics.
     """
-    _, jac_fun = _build_model(p._model_key())
-    jac = _evaluate(jac_fun, _derivative_point(x, u, p))
+    jac = _evaluate(vehicle_model.jac, _derivative_point(x, u, p), p)
     return (jac[:N_STATES * N_STATES].reshape(N_STATES, N_STATES),
             jac[N_STATES * N_STATES:].reshape(N_STATES, N_INPUTS))
 
@@ -294,12 +186,11 @@ def vehicle_dynamics_hessian(x, u, mult, p: VehicleParams) -> np.ndarray:
     """The (12, 12) Hessian of mult' f over (x, u), states first.
 
     The curvature enters as in ``vehicle_jacobians``, with kappa'' taken as 0
-    (see the module docstring). Compiles on its first call for a parameter
-    set. Raises the DomainErrors of vehicle_dynamics, and a DomainError at a
-    non-finite multiplier.
+    (see the module docstring). Raises the DomainErrors of vehicle_dynamics,
+    and a DomainError at a non-finite multiplier.
     """
     args = _derivative_point(x, u, p) + np.asarray(mult, dtype=float).tolist()
-    upper = _evaluate(_build_hessian(p._model_key()), args)
+    upper = _evaluate(vehicle_model.hess, args, p)
     hess = np.empty((N_STATES + N_INPUTS, N_STATES + N_INPUTS))
     hess[_UPPER] = upper
     hess.T[_UPPER] = upper

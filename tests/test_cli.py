@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from socenv import analysis, vehicle
-from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, _problem, build_parser, main
+from socenv import analysis
+from socenv.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 from socenv.nlp import MAX_ITERS
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "avp_default.yaml")
@@ -117,13 +120,26 @@ class TestSolve:
         assert code == EXIT_SOLVER
         assert json.loads(out)["report"]["status"] != "converged"
 
-    def test_avp_model_is_built_before_any_solve(self):
-        """f, its Jacobians and the Hessian of mult' f are all compiled by _problem."""
-        vehicle._build_model.cache_clear()
-        vehicle._build_hessian.cache_clear()
-        _problem(build_parser().parse_args(["bench", "--problem", "avp"]))
-        assert vehicle._build_model.cache_info().currsize == 1
-        assert vehicle._build_hessian.cache_info().currsize == 1
+    def test_avp_runtime_loads_neither_sympy_nor_scipy_optimize(self):
+        """The CLI and every AVP model function run on the generated model, and
+        only the reference solve needs scipy.optimize."""
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import socenv.cli",
+            "from socenv.vehicle import avp_problem",
+            "ocp = avp_problem()",
+            "u = np.zeros(ocp.n_u)",
+            "ocp.dynamics(ocp.x0, u)",
+            "for jac in ocp.dynamics_jacobians:",
+            "    jac(ocp.x0, u)",
+            "ocp.dynamics_hessian(ocp.x0, u, np.ones(ocp.n_x))",
+            "print(sorted(m for m in ('sympy', 'scipy.optimize') if m in sys.modules))",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_avp_default_config(self, capsys):
         code, out, _ = run(capsys, ["solve", "--problem", "avp", "--config", DEFAULT_CONFIG,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from socenv import vehicle_model
 from socenv.analysis import dense_violation_scan, solve_method
 from socenv.errors import DomainError, SingularCurvilinearError
 from socenv.nlp import kkt_certificate
-from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, avp_problem,
+from socenv.vehicle import (N_INPUTS, N_STATES, VehicleParams, _derivative_point, avp_problem,
                             avp_problem_from_config, avp_reference, avp_stage_cost,
                             avp_stage_cost_grad, avp_stage_cost_hess, load_config,
                             vehicle_dynamics, vehicle_dynamics_hessian, vehicle_jacobians,
@@ -197,6 +198,32 @@ class TestJacobians:
         for fun in (fx_fun, fu_fun):
             with pytest.raises(SingularCurvilinearError):
                 fun(x, u)
+
+
+class TestGeneratedModel:
+    def test_committed_module_matches_the_generator(self):
+        """vehicle_model.py is what vehicle_codegen derives today. Numbers are
+        compared, not text, because sympy versions print the same code differently."""
+        from socenv import vehicle_codegen
+        fresh = {}
+        exec(compile(vehicle_codegen.generate(), "<regenerated vehicle_model>", "exec"), fresh)
+        assert fresh["PARAMS"] == vehicle_model.PARAMS
+        rng = np.random.default_rng(7)
+        for p in (P, CURVED):
+            for _ in range(200):
+                x = rng.uniform(-0.8, 0.8, N_STATES)
+                x[0] = rng.uniform(-1.0, 4.0)
+                x[3] = rng.uniform(0.0, 10.0)
+                point = _derivative_point(x, rng.uniform(-0.6, 0.6, N_INPUTS), p)
+                mult = rng.standard_normal(N_STATES).tolist()
+                params = [getattr(p, name) for name in vehicle_model.PARAMS]
+                for name, args, tol in (("f", point[:-1] + params, 1e-13),
+                                        ("jac", point + params, 1e-13),
+                                        ("hess", point + mult + params, 1e-12)):
+                    committed = np.array(getattr(vehicle_model, name)(*args), dtype=float)
+                    regenerated = np.array(fresh[name](*args), dtype=float)
+                    scale = np.max(np.abs(committed))
+                    assert np.max(np.abs(regenerated - committed)) <= tol * scale, name
 
 
 class TestStageCost:
