@@ -5,7 +5,8 @@ Submodules:
 * ``polynomial`` -- Legendre bases, LGL grids and weights, spline evaluation.
 * ``envelope`` -- Bernstein-form envelope matrices bounding a spline everywhere.
 * ``ocp`` / ``vehicle`` -- problem models (scalar benchmark, curvilinear
-  single-track vehicle).
+  single-track vehicle). ``vehicle_model`` is the generated vehicle model;
+  ``vehicle_codegen`` regenerates it from its sympy derivation.
 * ``transcription`` -- collocation and multiple-shooting NLP assembly.
 * ``nlp`` -- dense SQP solver with an active-set QP subsolver.
 * ``analysis`` -- reference oracles, rollout/violation metrics, benchmarks.

@@ -6,9 +6,9 @@ and printed as plain-float math-module Python.
 rewrites ``src/socenv/vehicle_model.py``. Run it after any change to the
 derivation below and commit the result. It runs as a plain script, so it
 works even when the package cannot be imported because the generated module
-is stale or missing. This is the only module of the
-package that imports sympy; the solver imports the generated file, so it
-never derives or compiles the model at run time.
+is stale or missing. This is the only module of the package that imports
+sympy; the solver imports the generated file, so it never derives or
+compiles the model at run time.
 
 The 11 physical parameters of ``VehicleParams`` (mass through v_eps) are
 symbols, so one generated file serves every parameter set.
@@ -168,6 +168,8 @@ def generate() -> str:
     args, f, jac = symbolic_model()
     mult, hess = hessian_entries(args, jac)
     x_u_kap_lam, dkap, params = args[:14], args[14], args[15:]
+    # The model is called one point at a time (RK4 stages, collocation nodes):
+    # plain floats through the math module cost a third of a numpy evaluation.
     printer = PythonCodePrinter({"fully_qualified_modules": False})
     functions = [
         function_source("f", x_u_kap_lam + params, list(f), printer),
