@@ -49,10 +49,10 @@ def _write(text: str, path: Optional[str]):
 
 
 def cmd_nodes(ns: argparse.Namespace) -> int:
-    grid = lgl_grid(ns.nodes)
+    nodes, weights = lgl_grid(ns.nodes)
     lines = ["tau,weight"]
-    lines += [f"{float(t)!r},{float(w)!r}" for t, w in zip(grid.nodes, grid.weights)]
-    lines.append(f"sum,{float(np.sum(grid.weights))!r}")
+    lines += [f"{float(t)!r},{float(w)!r}" for t, w in zip(nodes, weights)]
+    lines.append(f"sum,{float(np.sum(weights))!r}")
     _write("\n".join(lines) + "\n", ns.out)
     return EXIT_OK
 
@@ -60,14 +60,14 @@ def cmd_nodes(ns: argparse.Namespace) -> int:
 def cmd_envelope_demo(ns: argparse.Namespace) -> int:
     M = ns.degree
     rng = np.random.default_rng(ns.seed)
-    basis = basis_matrix(M)
-    env = envelope_matrix(M, basis)
+    L = basis_matrix(M)
+    C = envelope_matrix(L)
     taus = np.linspace(-1.0, 1.0, ns.samples)
     lines = ["spline,true_min,true_max,bound_min,bound_max,gap_min,gap_max"]
     for i in range(ns.count):
         alpha = rng.standard_normal(M + 1)
-        vals = spline_samples(alpha[:, None], basis, taus)[:, 0]
-        lo, hi = spline_bounds(alpha[:, None], env)
+        vals = spline_samples(alpha[:, None], L, taus)[:, 0]
+        lo, hi = spline_bounds(alpha[:, None], C)
         lines.append(",".join(repr(v) for v in (
             float(i), float(vals.min()), float(vals.max()),
             float(lo[0]), float(hi[0]),
@@ -104,15 +104,17 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    ocp = _problem(ns)
-    if ns.method:
+    if ns.method is not None:
         methods = [m.strip() for m in ns.method.split(",") if m.strip()]
+        if not methods:
+            raise ValueError(f"--method {ns.method!r} names no method")
     elif ns.problem == "academic":
         methods = ["MS-50", "PS-5", "PS-8", "SOCSE-5", "SOCSE-8"]
     else:
         methods = ["SOC-3", "SOC-5", "SOCSE-3", "SOCSE-5", "SOCSE-8"]
     for m in methods:
         parse_method(m)
+    ocp = _problem(ns)
     rows = run_benchmark(ocp, methods, max_iters=ns.max_iters,
                          samples=ns.samples, skip_reference=ns.skip_reference)
     if ns.format == "json":

@@ -15,18 +15,9 @@ control value sits at an endpoint index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-
-from .polynomial import LegendreBasisMatrix
-
-
-@dataclass(frozen=True)
-class EnvelopeMatrices:
-    M: int
-    C: np.ndarray
 
 
 def bernstein_matrix(M: int) -> np.ndarray:
@@ -59,26 +50,24 @@ def binomial_shift_matrix(M: int) -> np.ndarray:
     return E
 
 
-def envelope_matrix(M: int, basis: LegendreBasisMatrix) -> EnvelopeMatrices:
+def envelope_matrix(L: np.ndarray) -> np.ndarray:
     """Compose C = B @ E^T @ L^T for Legendre coefficients on [-1, 1]."""
-    if basis.M != M:
-        raise ValueError(f"basis degree {basis.M} does not match M={M}")
-    C = bernstein_matrix(M) @ binomial_shift_matrix(M).T @ basis.L.T
-    return EnvelopeMatrices(M=M, C=C)
+    M = L.shape[0] - 1
+    return bernstein_matrix(M) @ binomial_shift_matrix(M).T @ L.T
 
 
-def control_values(alpha: np.ndarray, env: EnvelopeMatrices) -> np.ndarray:
+def control_values(alpha: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Bernstein control values C @ alpha, one column per channel."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(env.M + 1, -1))
-    return env.C @ alpha
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(C.shape[1], -1))
+    return C @ alpha
 
 
-def spline_bounds(alpha: np.ndarray, env: EnvelopeMatrices):
+def spline_bounds(alpha: np.ndarray, C: np.ndarray):
     """Per-channel (lower, upper) envelope bounds of the spline over [-1, 1]."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[0] != env.M + 1:
+    if alpha.shape[0] != C.shape[1]:
         raise ValueError(
-            f"coefficient rows {alpha.shape[0]} do not match degree M={env.M}"
+            f"coefficient rows {alpha.shape[0]} do not match degree M={C.shape[1] - 1}"
         )
-    p = control_values(alpha, env)
+    p = control_values(alpha, C)
     return p.min(axis=0), p.max(axis=0)

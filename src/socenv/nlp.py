@@ -93,16 +93,6 @@ def fd_jacobian(fun, z, step: float = 1e-6) -> np.ndarray:
     return J
 
 
-def fd_gradient(fun, z, step: float = 1e-6) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    g = np.empty(z.size)
-    for j in range(z.size):
-        e = np.zeros(z.size)
-        e[j] = step
-        g[j] = (fun(z + e) - fun(z - e)) / (2.0 * step)
-    return g
-
-
 def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> QpResult:
     """Solve min 1/2 d'Hd + g'd  s.t.  A_eq d = b_eq,  lo <= A_ineq d <= hi.
 

@@ -3,8 +3,9 @@
 Path constraints are componentwise boxes on states and controls; the envelope
 transcription bounds each spline channel, so general nonlinear path
 constraints are deliberately not modeled.  Model derivatives are required:
-every transcription and the reference solve use them, and none falls back to
-finite differences.
+every transcription and the reference solve use them.  The one exception is
+``terminal_constraint``, whose Jacobian the solver takes by central
+differences; no bundled problem sets one.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class OcpProblem:
     terminal_cost_grad: Optional[Callable[[Vector], Vector]] = None
     terminal_cost_hess: Optional[Callable[[Vector], np.ndarray]] = None
     terminal_constraint: Optional[Callable[[Vector], Vector]] = None
-    name: str = "ocp"
 
     def __post_init__(self):
         if self.terminal_cost is not None:
@@ -114,5 +114,4 @@ def academic_problem() -> OcpProblem:
         dynamics_hessian=f_hess,
         stage_cost_grad=stage_cost_grad,
         stage_cost_hess=stage_cost_hess,
-        name="academic",
     )

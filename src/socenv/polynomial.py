@@ -4,7 +4,8 @@ Everything here lives on the reference interval [-1, 1].  A trajectory channel
 is represented as a Legendre series ``x(tau) = alpha^T @ L @ v(tau)`` where
 ``L`` stacks the monomial coefficients of the Legendre polynomials row-wise
 (row j holds the coefficients of the degree-j polynomial, so columns beyond j
-are zero) and ``v(tau) = [1, tau, ..., tau^M]``.
+are zero) and ``v(tau) = [1, tau, ..., tau^M]``.  The tables are plain arrays:
+``L`` is (M+1, M+1), so functions that take it read the degree from its shape.
 
 Monomial-basis coefficients are exact small rationals stored as floats, which
 is well-conditioned for the degrees used here (M <= ~15; operations accept up
@@ -23,41 +24,6 @@ from .errors import DomainError, NonConvergenceError
 MAX_DEGREE = 32
 
 _TAU_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Polynomial in the monomial basis; ``coeffs[j]`` multiplies ``tau**j``."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def __call__(self, tau):
-        # Horner evaluation, vectorized over tau.
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        for a in self.coeffs[::-1]:
-            out = out * tau + a
-        return out
-
-
-@dataclass(frozen=True)
-class LegendreBasisMatrix:
-    """Rows of ``L`` are monomial coefficients of the Legendre polynomials 0..M."""
-
-    M: int
-    L: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """LGL collocation nodes (ascending, endpoints included) and quadrature weights."""
-
-    N: int
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,8 +48,8 @@ class TimeMap:
         return 0.5 * (self.tf - self.t0)
 
 
-def legendre_coeffs(k: int) -> MonomialPoly:
-    """Monomial coefficients of the degree-k Legendre polynomial.
+def legendre_coeffs(k: int) -> np.ndarray:
+    """Monomial coefficients of the degree-k Legendre polynomial, lowest power first.
 
     Computed by the Bonnet three-term recurrence
     ``(j+1) P_{j+1} = (2j+1) tau P_j - j P_{j-1}``,
@@ -96,7 +62,7 @@ def legendre_coeffs(k: int) -> MonomialPoly:
                          "representation is too ill-conditioned beyond that")
     prev = np.array([1.0])
     if k == 0:
-        return MonomialPoly(prev)
+        return prev
     cur = np.array([0.0, 1.0])
     for j in range(1, k):
         nxt = np.zeros(j + 2)
@@ -104,18 +70,18 @@ def legendre_coeffs(k: int) -> MonomialPoly:
         nxt[: j] -= j * prev
         nxt /= j + 1
         prev, cur = cur, nxt
-    return MonomialPoly(cur)
+    return cur
 
 
-def basis_matrix(M: int) -> LegendreBasisMatrix:
-    """Stack ``legendre_coeffs(0..M)`` row-wise, zero-padded to M+1 columns."""
+def basis_matrix(M: int) -> np.ndarray:
+    """``L``: ``legendre_coeffs(0..M)`` stacked row-wise, zero-padded to M+1 columns."""
     if M < 0:
         raise ValueError("degree must be non-negative")
     L = np.zeros((M + 1, M + 1))
     for j in range(M + 1):
-        c = legendre_coeffs(j).coeffs
+        c = legendre_coeffs(j)
         L[j, : c.size] = c
-    return LegendreBasisMatrix(M=M, L=L)
+    return L
 
 
 def _legendre_value_derivs(n: int, x: np.ndarray):
@@ -137,8 +103,8 @@ def _legendre_value_derivs(n: int, x: np.ndarray):
     return p1, d1, s1
 
 
-def lgl_grid(N: int) -> SpectralGrid:
-    """Legendre-Gauss-Lobatto nodes and weights for N points.
+def lgl_grid(N: int):
+    """Legendre-Gauss-Lobatto ``(nodes, weights)`` for N points, nodes ascending.
 
     Nodes are the endpoints plus the roots of P'_{N-1}, found by Newton
     iteration from Chebyshev-point initial guesses.  Weights are
@@ -173,7 +139,7 @@ def lgl_grid(N: int) -> SpectralGrid:
     p, _, _ = _legendre_value_derivs(N - 1, nodes)
     weights = 2.0 / (N * (N - 1) * p ** 2)
     weights[0] = weights[-1] = 2.0 / (N * (N - 1))
-    return SpectralGrid(N=N, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def _check_tau(tau: float) -> float:
@@ -194,14 +160,15 @@ def _monomial_deriv_vector(M: int, tau: float) -> np.ndarray:
     return v
 
 
-def eval_spline(alpha: np.ndarray, basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
+def eval_spline(alpha: np.ndarray, L: np.ndarray, tau: float) -> np.ndarray:
     """Evaluate ``alpha^T L v(tau)`` for an (M+1, d) coefficient matrix."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(basis.M + 1, -1))
+    M = L.shape[0] - 1
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(M + 1, -1))
     tau = _check_tau(tau)
-    return alpha.T @ (basis.L @ _monomial_vector(basis.M, tau))
+    return alpha.T @ (L @ _monomial_vector(M, tau))
 
 
-def spline_samples(alpha: np.ndarray, basis: LegendreBasisMatrix, taus: np.ndarray) -> np.ndarray:
+def spline_samples(alpha: np.ndarray, L: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Vectorized evaluation at many taus; returns (len(taus), d).
 
     The monomial coefficients ``L^T alpha`` are evaluated by Horner's rule
@@ -211,8 +178,8 @@ def spline_samples(alpha: np.ndarray, basis: LegendreBasisMatrix, taus: np.ndarr
     taus = np.asarray(taus, dtype=float)
     if taus.size and np.max(np.abs(taus)) > 1.0 + _TAU_SLACK:
         raise DomainError("sample points outside [-1, 1]")
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(basis.M + 1, -1))
-    C = basis.L.T @ alpha
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float).reshape(L.shape[0], -1))
+    C = L.T @ alpha
     out = np.empty((C.shape[1], taus.size))   # channel-major, so each pass is contiguous
     out[:] = C[-1][:, None]
     for c in C[-2::-1]:
@@ -221,11 +188,11 @@ def spline_samples(alpha: np.ndarray, basis: LegendreBasisMatrix, taus: np.ndarr
     return out.T
 
 
-def legendre_values(basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
+def legendre_values(L: np.ndarray, tau: float) -> np.ndarray:
     """Vector [P_0(tau), ..., P_M(tau)]."""
-    return basis.L @ _monomial_vector(basis.M, _check_tau(tau))
+    return L @ _monomial_vector(L.shape[0] - 1, _check_tau(tau))
 
 
-def legendre_deriv_values(basis: LegendreBasisMatrix, tau: float) -> np.ndarray:
+def legendre_deriv_values(L: np.ndarray, tau: float) -> np.ndarray:
     """Vector [P_0'(tau), ..., P_M'(tau)]."""
-    return basis.L @ _monomial_deriv_vector(basis.M, _check_tau(tau))
+    return L @ _monomial_deriv_vector(L.shape[0] - 1, _check_tau(tau))

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envelope import EnvelopeMatrices, envelope_matrix, spline_bounds
+from .envelope import envelope_matrix, spline_bounds
 from .errors import DofViolationError, LayoutError
 from .integrators import rk4_step, rk4_step_jacobians
 from .ocp import OcpProblem
@@ -148,26 +148,29 @@ class NlpProblem:
 
 @dataclass
 class SplineSolution:
-    """Decoded spline trajectory with envelope bounds and dense evaluation."""
+    """Decoded spline trajectory with envelope bounds and dense evaluation.
+
+    The basis ``L`` and the envelope follow from the coefficient count.
+    """
 
     alpha_x: np.ndarray      # (M+1, n_x)
     alpha_u: np.ndarray      # (M+1, n_u)
     time_map: TimeMap
-    basis: object
-    env: EnvelopeMatrices
-    objective: Optional[float] = None
+    L: np.ndarray = field(init=False)
     x_bounds: tuple = field(init=False)
     u_bounds: tuple = field(init=False)
 
     def __post_init__(self):
-        self.x_bounds = spline_bounds(self.alpha_x, self.env)
-        self.u_bounds = spline_bounds(self.alpha_u, self.env)
+        self.L = basis_matrix(self.alpha_x.shape[0] - 1)
+        C = envelope_matrix(self.L)
+        self.x_bounds = spline_bounds(self.alpha_x, C)
+        self.u_bounds = spline_bounds(self.alpha_u, C)
 
     def _eval(self, alpha, t):
         """Spline values at physical times; t outside [t0, tf] clamps to the ends."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         tau = np.clip(self.time_map.to_reference(t), -1.0, 1.0)
-        return spline_samples(alpha, self.basis, tau)
+        return spline_samples(alpha, self.L, tau)
 
     def x_at(self, t) -> np.ndarray:
         """Dense state evaluation in physical time; (len(t), n_x)."""
@@ -201,15 +204,13 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
     """
     _check_dof(ocp, cfg)
     layout = SplineLayout(M=cfg.M, n_x=ocp.n_x, n_u=ocp.n_u)
-    basis = basis_matrix(cfg.M)
-    grid = lgl_grid(cfg.N)
-    env = envelope_matrix(cfg.M, basis)
+    L = basis_matrix(cfg.M)
+    nodes, w = lgl_grid(cfg.N)
     scale = TimeMap(ocp.t0, ocp.tf).scale()
 
     # LGL grids contain tau = -1 and +1, so rows 0 and N-1 are the endpoint values.
-    phi_nodes = np.stack([legendre_values(basis, t) for t in grid.nodes])       # (N, M+1)
-    dphi_nodes = np.stack([legendre_deriv_values(basis, t) for t in grid.nodes])
-    w = grid.weights
+    phi_nodes = np.stack([legendre_values(L, t) for t in nodes])       # (N, M+1)
+    dphi_nodes = np.stack([legendre_deriv_values(L, t) for t in nodes])
 
     n_x, n_c = ocp.n_x, ocp.n_x + ocp.n_u
     n_xz = n_x * layout.rows    # state coefficients lead the decision vector
@@ -267,7 +268,7 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
         return np.vstack([J_start, J_nodes.reshape(-1, layout.n_vars)])
 
     # Linear inequality rows: envelope per channel (socse) or node values (soc).
-    blk = phi_nodes if cfg.node_only else env.C
+    blk = phi_nodes if cfg.node_only else envelope_matrix(L)
     k = blk.shape[0]
     A = np.kron(np.eye(n_c), blk)
     lo = np.repeat(np.concatenate([ocp.x_lower, ocp.u_lower]), k)
@@ -407,19 +408,10 @@ def transcribe_multiple_shooting(ocp: OcpProblem, steps: int) -> NlpProblem:
     )
 
 
-def decode(z: np.ndarray, nlp: NlpProblem, time_map: TimeMap,
-           objective: Optional[float] = None) -> SplineSolution:
+def decode(z: np.ndarray, nlp: NlpProblem, time_map: TimeMap) -> SplineSolution:
     """Unpack a collocation NLP solution into an evaluable spline trajectory."""
     layout = nlp.layout
     if not isinstance(layout, SplineLayout):
         raise LayoutError("decode expects a collocation NLP")
     alpha_x, alpha_u = layout.decode(z)
-    basis = basis_matrix(layout.M)
-    return SplineSolution(
-        alpha_x=alpha_x,
-        alpha_u=alpha_u,
-        time_map=time_map,
-        basis=basis,
-        env=envelope_matrix(layout.M, basis),
-        objective=objective if objective is not None else nlp.objective(z),
-    )
+    return SplineSolution(alpha_x=alpha_x, alpha_u=alpha_u, time_map=time_map)

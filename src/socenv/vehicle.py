@@ -283,7 +283,6 @@ def avp_problem(p: Optional[VehicleParams] = None, t0: float = 0.0, tf: float = 
         dynamics_hessian=lambda x, u, mult: vehicle_dynamics_hessian(x, u, mult, p),
         stage_cost_grad=lambda x, u: avp_stage_cost_grad(x, u, x_ref, p),
         stage_cost_hess=lambda x, u: avp_stage_cost_hess(x, u, x_ref, p),
-        name="avp",
     )
 
 

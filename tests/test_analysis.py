@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from socenv.analysis import (BenchmarkRow, ReferenceTrajectory, _rollout,
+from socenv import analysis
+from socenv.analysis import (KKT_EQ_RESIDUAL_TOL, KKT_STATIONARITY_TOL,
+                             BenchmarkRow, ReferenceTrajectory, _rollout,
                              dense_violation_scan, ode_rollout_error,
                              parse_method, quasi_optimal_reference,
                              rows_to_csv, rows_to_json, run_benchmark,
                              solve_method, trajectory_cost)
-from socenv.envelope import envelope_matrix
 from socenv.integrators import rk4_step_timed
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap, basis_matrix, lgl_grid, spline_samples
@@ -63,9 +64,8 @@ def riccati_oracle():
 
 def fit_spline(fun, M, time_map):
     """Legendre coefficients interpolating ``fun(t)`` at the LGL nodes."""
-    basis = basis_matrix(M)
-    taus = lgl_grid(M + 1).nodes
-    V = np.vander(taus, M + 1, increasing=True) @ basis.L.T
+    taus, _ = lgl_grid(M + 1)
+    V = np.vander(taus, M + 1, increasing=True) @ basis_matrix(M).T
     vals = np.array([fun(time_map.t0 + time_map.scale() * (tau + 1.0)) for tau in taus])
     return np.linalg.solve(V, vals)[:, None]
 
@@ -81,13 +81,6 @@ def per_step_rollout_error(sol, ocp, dt):
         x = rk4_step_timed(ocp.dynamics, x, u0, um, u1, dt)
         err = max(err, float(np.max(np.abs(x - sol.x_at(ts[2 * k + 2])[0]))))
     return err
-
-
-def make_solution(alpha_x, alpha_u, M, time_map):
-    basis = basis_matrix(M)
-    return SplineSolution(
-        alpha_x=alpha_x, alpha_u=alpha_u, time_map=time_map, basis=basis,
-        env=envelope_matrix(M, basis), objective=0.0)
 
 
 class TestTrajectoryCost:
@@ -127,21 +120,21 @@ class TestRolloutError:
         tm = TimeMap(0.0, 1.0)
         u_fun = lambda t: 1.5 * t ** 2 - 0.4
         x_fun = lambda t: 0.3 + 0.5 * t ** 3 - 0.4 * t
-        sol = make_solution(fit_spline(x_fun, 3, tm), fit_spline(u_fun, 3, tm), 3, tm)
+        sol = SplineSolution(fit_spline(x_fun, 3, tm), fit_spline(u_fun, 3, tm), tm)
         assert ode_rollout_error(sol, ocp, dt=1e-3) <= 1e-9
 
     def test_detects_inconsistent_pair(self):
         ocp = integrator_problem(0.0)
         tm = TimeMap(0.0, 1.0)
-        sol = make_solution(fit_spline(lambda t: t, 3, tm),      # claims x = t
-                            fit_spline(lambda t: 0.0 * t, 3, tm),  # but u = 0
-                            3, tm)
+        sol = SplineSolution(fit_spline(lambda t: t, 3, tm),      # claims x = t
+                             fit_spline(lambda t: 0.0 * t, 3, tm),  # but u = 0
+                             tm)
         assert ode_rollout_error(sol, ocp, dt=1e-3) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_coarse_step(self):
         ocp = lq_unconstrained()
         tm = TimeMap(0.0, 1.0)
-        sol = make_solution(np.ones((4, 1)), np.zeros((4, 1)), 3, tm)
+        sol = SplineSolution(np.ones((4, 1)), np.zeros((4, 1)), tm)
         with pytest.raises(ValueError):
             ode_rollout_error(sol, ocp, dt=0.01)
 
@@ -157,8 +150,8 @@ class TestRolloutError:
         """With dt not dividing the horizon, the step grid overshoots tf and clamps."""
         ocp = integrator_problem(0.0)
         tm = TimeMap(0.0, 1.0)
-        sol = make_solution(fit_spline(lambda t: t, 3, tm), fit_spline(lambda t: 1.0 + 0.0 * t, 3, tm),
-                            3, tm)
+        sol = SplineSolution(fit_spline(lambda t: t, 3, tm),
+                             fit_spline(lambda t: 1.0 + 0.0 * t, 3, tm), tm)
         seen = {}
 
         def recording(name):
@@ -189,7 +182,7 @@ class TestViolationScan:
         alpha_u[0, 0] = -0.05      # constant control above the upper bound
         alpha_x = np.zeros((3, 1))
         alpha_x[0, 0] = 0.5
-        scan = dense_violation_scan(make_solution(alpha_x, alpha_u, 2, tm), ocp)
+        scan = dense_violation_scan(SplineSolution(alpha_x, alpha_u, tm), ocp)
         assert scan["u"][0] == pytest.approx(0.05, abs=1e-12)
         assert scan["x"][0] == pytest.approx(0.0, abs=1e-12)
         assert scan["max"] == pytest.approx(0.05, abs=1e-12)
@@ -210,7 +203,7 @@ class TestViolationScan:
     def test_rejects_sparse_grid(self):
         ocp = academic_problem()
         tm = TimeMap(0.0, 1.0)
-        sol = make_solution(0.5 * np.eye(3, 1), -0.2 * np.eye(3, 1), 2, tm)
+        sol = SplineSolution(0.5 * np.eye(3, 1), -0.2 * np.eye(3, 1), tm)
         with pytest.raises(ValueError):
             dense_violation_scan(sol, ocp, samples=10)
 
@@ -231,7 +224,7 @@ class TestQuasiOptimalReference:
         times = np.linspace(0.0, 1.0, 5)
         states = np.arange(5, dtype=float)[:, None]
         controls = np.arange(4, dtype=float)[:, None]
-        ref = ReferenceTrajectory(times, states, controls, 0.0, 0.0, 0)
+        ref = ReferenceTrajectory(times, states, controls, 0)
         np.testing.assert_allclose(ref.x_at(times)[:, 0], states[:, 0], atol=1e-14)
         np.testing.assert_allclose(ref.u_at(np.array([0.1, 0.3, 0.9]))[:, 0],
                                    [0.0, 1.0, 3.0], atol=0.0)
@@ -242,7 +235,7 @@ def cheap_reference(ocp, u_const=-0.2, K=1000):
     U = np.full((K, ocp.n_u), u_const)
     X = _rollout(ocp, U, K, 1)
     times = np.linspace(ocp.t0, ocp.tf, K + 1)
-    ref = ReferenceTrajectory(times, X, U, 0.0, 0.0, 0)
+    ref = ReferenceTrajectory(times, X, U, 0)
     ref.cost = trajectory_cost(ocp, ref.x_at, ref.u_at)
     return ref
 
@@ -277,6 +270,24 @@ class TestBenchmarkRunner:
                              max_iters=1)
         assert rows[0].status in ("max_iters", "line_search_failure")
         assert math.isnan(rows[0].cost_dev_pct)
+
+    @pytest.mark.parametrize("stationarity, eq_residual, status", [
+        (2 * KKT_STATIONARITY_TOL, 0.0, "kkt_reject"),
+        (0.0, 2 * KKT_EQ_RESIDUAL_TOL, "kkt_reject"),
+        (KKT_STATIONARITY_TOL, KKT_EQ_RESIDUAL_TOL, "converged"),
+    ])
+    def test_certificate_gate(self, monkeypatch, stationarity, eq_residual, status):
+        """A converged solve whose certificate fails reads kkt_reject with NaN metrics."""
+        def certificate(*args):
+            return {"stationarity": stationarity, "eq_residual": eq_residual}
+        monkeypatch.setattr(analysis, "kkt_certificate", certificate)
+        ocp = academic_problem()
+        row, = run_benchmark(ocp, ["SOCSE-5"], samples=1000, reference=cheap_reference(ocp))
+        assert row.status == status
+        assert math.isfinite(row.solve_time_s)
+        metrics = (row.cost_dev_pct, row.ode_err, row.max_violation, row.ctrl_dev)
+        assert all(map(math.isnan, metrics)) == (status == "kkt_reject")
+        assert all(map(math.isfinite, metrics)) == (status == "converged")
 
     def test_solve_method_returns_spline_for_collocation(self):
         rep, sol, nlp, z = solve_method(academic_problem(), "SOCSE-5")

@@ -188,6 +188,12 @@ class TestBench:
                                   "--method", "SOCSE-5,NOPE-2"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("methods", [",", "", " , "])
+    def test_method_list_naming_no_method_is_usage_error(self, capsys, methods):
+        code, out, err = run(capsys, ["bench", "--problem", "academic", "--method", methods])
+        assert code == EXIT_USAGE
+        assert out == "" and "names no method" in err
+
 
 class TestParser:
     def test_missing_subcommand_is_usage_error(self, capsys):

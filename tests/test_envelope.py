@@ -10,7 +10,7 @@ from socenv.polynomial import basis_matrix, spline_samples
 
 
 def make_env(M):
-    return envelope_matrix(M, basis_matrix(M))
+    return envelope_matrix(basis_matrix(M))
 
 
 class TestBernsteinMatrix:
@@ -51,27 +51,23 @@ class TestBinomialShift:
 
 class TestEnvelopeMatrix:
     def test_constant_spline_maps_to_ones(self):
-        env = make_env(4)
-        np.testing.assert_allclose(env.C @ np.eye(5)[0], np.ones(5), atol=1e-13)
+        C = make_env(4)
+        np.testing.assert_allclose(C @ np.eye(5)[0], np.ones(5), atol=1e-13)
 
     def test_linear_spline_control_values(self):
-        env = make_env(4)
-        p = env.C @ np.eye(5)[1]   # x(tau) = tau
+        C = make_env(4)
+        p = C @ np.eye(5)[1]   # x(tau) = tau
         np.testing.assert_allclose(p, [-1.0, -0.5, 0.0, 0.5, 1.0], atol=1e-13)
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            envelope_matrix(3, basis_matrix(4))
 
     def test_endpoint_rows(self):
         """First/last control values are the spline endpoint values."""
         rng = np.random.default_rng(3)
         for M in range(1, 9):
-            env = make_env(M)
-            basis = basis_matrix(M)
+            C = make_env(M)
+            L = basis_matrix(M)
             alpha = rng.standard_normal((M + 1, 1))
-            p = control_values(alpha, env)
-            ends = spline_samples(alpha, basis, np.array([-1.0, 1.0]))
+            p = control_values(alpha, C)
+            ends = spline_samples(alpha, L, np.array([-1.0, 1.0]))
             assert p[0, 0] == pytest.approx(ends[0, 0], abs=1e-10)
             assert p[-1, 0] == pytest.approx(ends[1, 0], abs=1e-10)
 
@@ -80,23 +76,23 @@ class TestContainment:
     @pytest.mark.parametrize("M", range(1, 11))
     def test_random_splines_contained(self, M):
         rng = np.random.default_rng(100 + M)
-        basis = basis_matrix(M)
-        env = make_env(M)
+        L = basis_matrix(M)
+        C = make_env(M)
         taus = np.linspace(-1, 1, 2001)
         alpha = rng.standard_normal((M + 1, 200))
-        vals = spline_samples(alpha, basis, taus)
-        lo, hi = spline_bounds(alpha, env)
+        vals = spline_samples(alpha, L, taus)
+        lo, hi = spline_bounds(alpha, C)
         assert np.all(vals >= lo - 1e-9)
         assert np.all(vals <= hi + 1e-9)
 
     def test_degree_one_exact(self):
         rng = np.random.default_rng(11)
-        basis = basis_matrix(1)
-        env = make_env(1)
+        L = basis_matrix(1)
+        C = make_env(1)
         alpha = rng.standard_normal((2, 50))
         taus = np.linspace(-1, 1, 501)
-        vals = spline_samples(alpha, basis, taus)
-        lo, hi = spline_bounds(alpha, env)
+        vals = spline_samples(alpha, L, taus)
+        lo, hi = spline_bounds(alpha, C)
         np.testing.assert_allclose(lo, vals.min(axis=0), atol=1e-12)
         np.testing.assert_allclose(hi, vals.max(axis=0), atol=1e-12)
 
@@ -105,9 +101,9 @@ class TestContainment:
         envelope stays a valid (and in practice no-looser-than-true) bound."""
         rng = np.random.default_rng(5)
         alpha = rng.standard_normal(4)
-        basis4 = basis_matrix(3)
+        L3 = basis_matrix(3)
         taus = np.linspace(-1, 1, 1001)
-        true_vals = spline_samples(alpha[:, None], basis4, taus)[:, 0]
+        true_vals = spline_samples(alpha[:, None], L3, taus)[:, 0]
         for M in range(3, 9):
             padded = np.zeros((M + 1, 1))
             padded[:4, 0] = alpha
@@ -119,25 +115,25 @@ class TestContainment:
     @given(st.integers(min_value=1, max_value=10), st.integers(0, 2 ** 31 - 1))
     def test_containment_property(self, M, seed):
         rng = np.random.default_rng(seed)
-        basis = basis_matrix(M)
-        env = make_env(M)
+        L = basis_matrix(M)
+        C = make_env(M)
         alpha = rng.normal(scale=rng.uniform(0.1, 10.0), size=(M + 1, 1))
         taus = np.linspace(-1, 1, 512)
-        vals = spline_samples(alpha, basis, taus)[:, 0]
-        lo, hi = spline_bounds(alpha, env)
+        vals = spline_samples(alpha, L, taus)[:, 0]
+        lo, hi = spline_bounds(alpha, C)
         assert vals.min() >= lo[0] - 1e-9 * max(1.0, abs(lo[0]))
         assert vals.max() <= hi[0] + 1e-9 * max(1.0, abs(hi[0]))
 
     def test_multichannel_bounds_independent(self):
-        env = make_env(2)
+        C = make_env(2)
         alpha = np.array([[0.0, 5.0], [1.0, 0.0], [0.0, 0.0]])
-        lo, hi = spline_bounds(alpha, env)
+        lo, hi = spline_bounds(alpha, C)
         assert lo[0] == pytest.approx(-1.0)
         assert hi[0] == pytest.approx(1.0)
         assert lo[1] == pytest.approx(5.0)
         assert hi[1] == pytest.approx(5.0)
 
     def test_shape_guard(self):
-        env = make_env(3)
+        C = make_env(3)
         with pytest.raises(ValueError):
-            spline_bounds(np.ones((3, 1)), env)
+            spline_bounds(np.ones((3, 1)), C)

@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every private top-level name is used somewhere in the package."""
+every private top-level name is used somewhere in the package, and every
+public function or method is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "socenv"
+PERFBENCH = SRC.parents[1] / "perfbench"
 # __init__.py imports names to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -71,3 +73,66 @@ def test_finds_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+# Public functions that only the tests call, each with the reason it stays.
+TEST_ONLY = {
+    "eval_spline": "the one-point oracle that spline_samples is checked against",
+    "SplineLayout.encode": "the inverse of SplineLayout.decode",
+}
+
+
+def public_functions(tree: ast.Module) -> list:
+    """(name, line) of each public top-level function and each public method,
+    methods named ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(name, line) for name, line in found
+            if not name.rpartition(".")[2].startswith("_")]
+
+
+def loaded_names(trees) -> set:
+    """Bare names and attribute names that the trees load."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def unloaded_public_functions(sources: dict, users: list) -> list:
+    """Public functions and methods of ``sources`` that neither they nor ``users`` load."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    loaded = loaded_names(list(trees.values()) + [ast.parse(source) for source in users])
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, tree in trees.items()
+                  for name, line in public_functions(tree)
+                  if name.rpartition(".")[2] not in loaded and name not in TEST_ONLY)
+
+
+def test_finds_public_function_only_tests_call():
+    sources = {
+        "a.py": "def used():\n    return 1\n\ndef spare():\n    return used()\n\n"
+                "class Box:\n    def open(self):\n        pass\n\n"
+                "    def shut(self):\n        pass\n\n    def __len__(self):\n        return 0\n",
+    }
+    users = ["import a\n\na.Box().open()\nf = a.spare\n"]
+    assert unloaded_public_functions(sources, []) == [
+        "a.py: Box.open (line 8)", "a.py: Box.shut (line 11)", "a.py: spare (line 4)"]
+    assert unloaded_public_functions(sources, users) == ["a.py: Box.shut (line 11)"]
+
+
+def test_no_public_function_only_tests_call():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    users = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert unloaded_public_functions(sources, users) == []
+    defined = {name for source in sources.values() for name, _ in public_functions(ast.parse(source))}
+    assert set(TEST_ONLY) <= defined
