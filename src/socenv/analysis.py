@@ -111,6 +111,8 @@ def quasi_optimal_reference(ocp: OcpProblem) -> ReferenceTrajectory:
     step, are optimized by L-BFGS-B with discrete-adjoint gradients through
     the rollout; control boxes enter as variable bounds, state boxes through
     an augmented-Lagrangian outer loop of at most ``REF_MAX_OUTER`` rounds.
+    An infinite state bound contributes nothing to the augmented Lagrangian,
+    its multiplier or the round-end check.
     On the academic problem the first round already meets the state box, so
     the multipliers are never updated; on AVP the bound w <= 3.0 is active
     from the start and the loop runs several rounds.
@@ -121,8 +123,6 @@ def quasi_optimal_reference(ocp: OcpProblem) -> ReferenceTrajectory:
     fx_fun, fu_fun = ocp.dynamics_jacobians
 
     x_lo, x_hi = ocp.x_lower, ocp.x_upper
-    finite_lo = np.isfinite(x_lo)
-    finite_hi = np.isfinite(x_hi)
     mu_lo = np.zeros((K + 1, n_x))
     mu_hi = np.zeros((K + 1, n_x))
     rho = 10.0
@@ -138,39 +138,30 @@ def quasi_optimal_reference(ocp: OcpProblem) -> ReferenceTrajectory:
                                                           X[k], U[k], dt)
         return X, jxs, jus
 
-    def al_terms(xk, mlo, mhi):
-        """Augmented-Lagrangian value and gradient for one node's state box."""
-        v = 0.0
-        g = np.zeros(n_x)
-        dlo = np.where(finite_lo, x_lo - xk, -np.inf)
-        act = np.maximum(dlo + mlo / rho, 0.0)
-        v += 0.5 * rho * float(np.sum(act ** 2) - np.sum((mlo / rho) ** 2))
-        g -= rho * act
-        dhi = np.where(finite_hi, xk - x_hi, -np.inf)
-        act = np.maximum(dhi + mhi / rho, 0.0)
-        v += 0.5 * rho * float(np.sum(act ** 2) - np.sum((mhi / rho) ** 2))
-        g += rho * act
-        return v, g
-
     def fun_and_grad(uflat):
         U = uflat.reshape(K, n_u)
         X, jxs, jus = forward(U)
+        # Augmented-Lagrangian value V[k] and gradient G[k] of each node's state
+        # box; an infinite bound is -inf before the clamp and adds nothing.
+        below = np.maximum(x_lo - X + mu_lo / rho, 0.0)
+        above = np.maximum(X - x_hi + mu_hi / rho, 0.0)
+        V = (0.5 * rho * (np.sum(below ** 2, axis=1) - np.sum((mu_lo / rho) ** 2, axis=1))
+             + 0.5 * rho * (np.sum(above ** 2, axis=1) - np.sum((mu_hi / rho) ** 2, axis=1)))
+        G = rho * above - rho * below
         val = 0.0
         gU = np.zeros((K, n_u))
         lam = np.zeros(n_x)
         if ocp.terminal_cost is not None:
             val += float(ocp.terminal_cost(X[K]))
             lam = np.asarray(ocp.terminal_cost_grad(X[K]), dtype=float)
-        vk, gk = al_terms(X[K], mu_lo[K], mu_hi[K])
-        val += vk
-        lam = lam + gk
+        val += V[K]
+        lam = lam + G[K]
         for k in range(K - 1, -1, -1):
             val += dt * ocp.stage_cost(X[k], U[k])
             lx, lu = ocp.stage_cost_grad(X[k], U[k])
-            vk, gk = al_terms(X[k], mu_lo[k], mu_hi[k])
-            val += vk
+            val += V[k]
             gU[k] = dt * lu + jus[k].T @ lam
-            lam = dt * lx + gk + jxs[k].T @ lam
+            lam = dt * lx + G[k] + jxs[k].T @ lam
         return val, gU.ravel()
 
     bounds = [(ocp.u_lower[c], ocp.u_upper[c]) for c in range(n_u)] * K
@@ -187,13 +178,10 @@ def quasi_optimal_reference(ocp: OcpProblem) -> ReferenceTrajectory:
         total_iters += int(res.nit)
         U = uflat.reshape(K, n_u)
         X = _rollout(ocp, U, K, 1)
-        v_lo = np.maximum(np.where(finite_lo, x_lo - X, -np.inf), 0.0)
-        v_hi = np.maximum(np.where(finite_hi, X - x_hi, -np.inf), 0.0)
-        worst = max(float(np.max(v_lo, initial=0.0)), float(np.max(v_hi, initial=0.0)))
-        if worst <= REF_STATE_TOL:
+        if np.max(_box_violation(X, x_lo, x_hi)) <= REF_STATE_TOL:
             break
-        mu_lo = np.maximum(mu_lo + rho * np.where(finite_lo, x_lo - X, 0.0), 0.0)
-        mu_hi = np.maximum(mu_hi + rho * np.where(finite_hi, X - x_hi, 0.0), 0.0)
+        mu_lo = np.maximum(mu_lo + rho * (x_lo - X), 0.0)
+        mu_hi = np.maximum(mu_hi + rho * (X - x_hi), 0.0)
         rho *= 10.0
     else:
         raise NonConvergenceError("reference solve: state box not satisfied "
@@ -232,18 +220,25 @@ def ode_rollout_error(solution: SplineSolution, ocp: OcpProblem,
     return float(np.max(np.abs(R, out=R), initial=0.0))
 
 
+def _box_violation(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Largest violation of each channel (column) of ``values`` outside
+    [lower, upper]: 0 inside the box, and an infinite bound contributes nothing.
+
+    Reducing before subtracting gives the same numbers, because rounding is
+    monotone, without two temporaries the size of ``values``.
+    """
+    return np.maximum(np.maximum(values.max(axis=0) - upper, lower - values.min(axis=0)), 0.0)
+
+
 def dense_violation_scan(solution: SplineSolution, ocp: OcpProblem,
                          samples: int = 10000) -> dict:
-    """Per-channel max box violation over a uniform dense time grid."""
+    """Per-channel max box violation over a uniform dense time grid; an
+    infinite bound contributes nothing."""
     if samples < 1000:
         raise ValueError("samples must be at least 1e3")
     _, X, U = solution.sample_dense(samples)
-    # Reducing before subtracting gives the same numbers, because rounding is
-    # monotone, without four (samples, n) temporaries.
-    vx = np.maximum(X.max(axis=0) - ocp.x_upper, ocp.x_lower - X.min(axis=0))
-    vu = np.maximum(U.max(axis=0) - ocp.u_upper, ocp.u_lower - U.min(axis=0))
-    vx = np.maximum(vx, 0.0)
-    vu = np.maximum(vu, 0.0)
+    vx = _box_violation(X, ocp.x_lower, ocp.x_upper)
+    vu = _box_violation(U, ocp.u_lower, ocp.u_upper)
     return {"x": vx, "u": vu,
             "max": float(max(np.max(vx, initial=0.0), np.max(vu, initial=0.0)))}
 
@@ -349,11 +344,9 @@ def run_benchmark(ocp: OcpProblem, methods: Sequence[str], samples: int,
                 # enforced exactly at the nodes.
                 X = _rollout(ocp, sol.controls, sol.controls.shape[0], MS_SUBSTEPS)
                 row.ode_err = float(np.max(np.abs(X - sol.states)))
-                vx = max(float(np.max(sol.states - ocp.x_upper, initial=0.0)),
-                         float(np.max(ocp.x_lower - sol.states, initial=0.0)))
-                vu = max(float(np.max(sol.controls - ocp.u_upper, initial=0.0)),
-                         float(np.max(ocp.u_lower - sol.controls, initial=0.0)))
-                row.max_violation = max(vx, vu, 0.0)
+                vx = _box_violation(sol.states, ocp.x_lower, ocp.x_upper)
+                vu = _box_violation(sol.controls, ocp.u_lower, ocp.u_upper)
+                row.max_violation = float(max(np.max(vx), np.max(vu)))
         except Exception as exc:   # noqa: BLE001 -- per-row failure is recorded
             row.status = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)

@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope-demo",
                        help="random splines vs their Bernstein bounds")
     p.add_argument("--degree", type=_at_least(1), required=True, metavar="M")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_at_least(1000), default=1000, help=samples_help)
     p.add_argument("--out", help=out_help)

@@ -7,11 +7,7 @@ import numpy as np
 
 def rk4_step(f, x, u, h):
     """One RK4 step with the control held constant over the step."""
-    k1 = f(x, u)
-    k2 = f(x + 0.5 * h * k1, u)
-    k3 = f(x + 0.5 * h * k2, u)
-    k4 = f(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4_step_timed(f, x, u, u, u, h)
 
 
 def rk4_step_timed(f, x, u0, um, u1, h):

@@ -1,5 +1,6 @@
 """Reference oracles, rollout/violation metrics and benchmark table plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from socenv import analysis
 from socenv.analysis import (KKT_EQ_RESIDUAL_TOL, KKT_STATIONARITY_TOL,
-                             BenchmarkRow, ReferenceTrajectory, _rollout,
+                             BenchmarkRow, ReferenceTrajectory, _box_violation, _rollout,
                              dense_violation_scan, ode_rollout_error,
                              parse_method, quasi_optimal_reference,
                              rows_to_csv, rows_to_json, run_benchmark,
@@ -200,6 +201,17 @@ class TestViolationScan:
             assert scan[key].tobytes() == old.tobytes()
         assert scan["max"] > 1e-6
 
+    def test_box_violation_per_channel(self):
+        """Each channel's worst excess on either side, 0 inside the box, and
+        nothing from an infinite bound."""
+        values = np.array([[0.5, -3.0, 1e300],
+                           [1.5, 2.0, -1e300]])
+        lower = np.array([0.0, -1.0, -np.inf])
+        upper = np.array([1.0, 4.0, np.inf])
+        assert _box_violation(values, lower, upper).tolist() == [0.5, 2.0, 0.0]
+        assert _box_violation(values[:1, :2], np.array([0.0, -5.0]),
+                              np.array([1.0, 4.0])).tolist() == [0.0, 0.0]
+
     def test_rejects_sparse_grid(self):
         ocp = academic_problem()
         tm = TimeMap(0.0, 1.0)
@@ -219,6 +231,43 @@ class TestQuasiOptimalReference:
         ts = ref.times[:-1] + 0.5 * np.diff(ref.times)
         u_star = -np.array([float(P(1.0 - t)[0]) for t in ts]) * ref.x_at(ts)[:, 0]
         assert np.max(np.abs(ref.controls[:, 0] - u_star)) < 2e-3
+
+    def test_adjoint_gradient_matches_central_differences(self, monkeypatch):
+        """In every augmented-Lagrangian round, the objective's adjoint gradient
+        matches central differences at the round's start and at a perturbed
+        point; x >= 0.3 makes the state box bind from the first round."""
+        ocp = dataclasses.replace(academic_problem(), x_lower=np.array([0.3]))
+        monkeypatch.setattr(analysis, "REF_INTERVALS", 40)
+        rng = np.random.default_rng(0)
+        minimize = analysis.minimize
+        h = 1e-6
+        starts = []
+
+        def checked(fun, x0, **kwargs):
+            starts.append(x0)
+            for u in (x0, x0 + 0.05 * rng.standard_normal(x0.size)):
+                _, grad = fun(u)
+                for _ in range(3):
+                    d = rng.standard_normal(u.size)
+                    slope = (fun(u + h * d)[0] - fun(u - h * d)[0]) / (2.0 * h)
+                    assert slope == pytest.approx(grad @ d, rel=1e-6)
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(analysis, "minimize", checked)
+        quasi_optimal_reference(ocp)
+        assert len(starts) >= 3
+
+    def test_infinite_state_bounds_add_nothing(self):
+        """Infinite state bounds give bitwise the reference of far, inactive
+        finite ones. The control bounds stay finite in both, because L-BFGS-B
+        treats an infinite variable bound differently."""
+        finite = lq_unconstrained()
+        infinite = dataclasses.replace(finite, x_lower=np.array([-np.inf]),
+                                       x_upper=np.array([np.inf]))
+        a, b = quasi_optimal_reference(finite), quasi_optimal_reference(infinite)
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.controls.tobytes() == b.controls.tobytes()
+        assert (a.cost, a.iterations) == (b.cost, b.iterations)
 
     def test_interpolants_hit_nodes(self):
         times = np.linspace(0.0, 1.0, 5)

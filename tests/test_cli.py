@@ -81,6 +81,12 @@ class TestEnvelopeDemo:
         code, _, _ = run(capsys, ["envelope-demo", "--degree", "0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, ["envelope-demo", "--degree", "3", "--count", count])
+        assert code == EXIT_USAGE
+        assert out == "" and "--count" in err and "at least 1" in err
+
 
 class TestSolve:
     def test_academic_socse(self, capsys):
