@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .integrators import rk4_step, rk4_step_timed, rk4_step_jacobians
-from .nlp import MAX_ITERS, solve_sqp, kkt_certificate
+from .nlp import MAX_ITERS, feasibility_tolerance, solve_sqp, kkt_certificate
 from .ocp import OcpProblem
 from .polynomial import TimeMap
-from .transcription import (MS_SUBSTEPS, CollocationConfig, SplineSolution, decode,
-                            transcribe, transcribe_multiple_shooting)
+from .transcription import (MS_SUBSTEPS, CollocationConfig, NlpProblem, SplineSolution,
+                            decode, transcribe, transcribe_multiple_shooting)
 
 COST_POINTS = 4097      # odd, so the composite-Simpson weights close
 REF_INTERVALS = 1000    # reference control intervals, one RK4 step each
@@ -275,6 +275,45 @@ def parse_method(label: str):
     return family, order
 
 
+def canonical_point(nlp: NlpProblem, z: np.ndarray) -> np.ndarray:
+    """Move each control channel of a collocation solution on N = M nodes to one canonical point.
+
+    Adding t * P (``nlp.free_control_direction``) to a control channel
+    changes no node value, so the objective, the collocation rows and the
+    node rows cannot choose t, and an optimum is a segment of such points
+    that differ in their rollout error, control violation and control
+    deviation.  The canonical t zeroes the channel's degree-M coefficient
+    (the node interpolant), clipped to the interval where every linear row
+    holds.  A row within the QP's feasibility tolerance of its bound counts
+    as active, so a channel pinned by active rows on both sides does not
+    move.  Returns z itself when there is no such direction (PS and MS).
+    """
+    P = nlp.free_control_direction
+    if P is None:
+        return z
+    layout = nlp.layout
+    A, lo, hi = nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper
+    tol = feasibility_tolerance(lo, hi)
+    z = z.copy()
+    for ch in range(layout.n_x, layout.n_x + layout.n_u):
+        cols = slice(ch * layout.rows, (ch + 1) * layout.rows)
+        s = A[:, cols] @ P
+        sees = np.abs(s) > 1e-12 * np.max(np.abs(P))
+        s, r = s[sees], A[sees] @ z
+        room_up = hi[sees] - r
+        room_down = r - lo[sees]
+        room_up[room_up <= tol] = 0.0
+        room_down[room_down <= tol] = 0.0
+        # Row j holds for t between -room_down/s and room_up/s.
+        ends = np.stack([-room_down / s, room_up / s])
+        t_lo = float(np.max(ends.min(axis=0), initial=-np.inf))
+        t_hi = float(np.min(ends.max(axis=0), initial=np.inf))
+        t = min(max(-z[cols][-1] / P[-1], t_lo), t_hi)
+        if t != 0.0:
+            z[cols] += t * P
+    return z
+
+
 def solve_method(ocp: OcpProblem, label: str, max_iters: int = MAX_ITERS):
     """Solve one method in at most ``max_iters`` SQP iterations; returns (report, solution-like, nlp, z).
 
@@ -297,6 +336,7 @@ def solve_method(ocp: OcpProblem, label: str, max_iters: int = MAX_ITERS):
     mode = {"SOCSE": "socse", "SOC": "soc", "PS": "pseudospectral"}[family]
     nlp = transcribe(ocp, CollocationConfig(M=order, mode=mode))
     z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars), max_iters)
+    z = canonical_point(nlp, z)
     sol = decode(z, nlp, TimeMap(ocp.t0, ocp.tf))
     return rep, sol, nlp, z
 

@@ -15,10 +15,18 @@ AVP SOC-5, SOCSE-5 and SOCSE-8 solves end at the iteration cap.  The floored
 Hessian is positive definite, so every QP the solver builds is strictly
 convex.
 
-Steps are globalized by a backtracking line search on an l1 exact-penalty
-merit function whose penalty is kept above the largest multiplier estimate;
-a trial point outside the model's domain is a rejected trial.  f, c, t and
-the linear-row violation are evaluated once per point.
+Steps are globalized by a backtracking filter line search (Fletcher and
+Leyffer, Math. Prog. 91, 2002; Waechter and Biegler, SIAM J. Optim. 16,
+2005), which needs no penalty parameter.  The infeasibility theta is
+|c|_1 plus the linear-row violation plus the positive part of t.  A trial
+point is accepted when no filter entry dominates it and either f falls on
+Armijo's rule (an f-type step: the iterate is nearly feasible and the step a
+descent direction for f) or theta or f falls by a margin of theta, and then
+the current (theta, f), less that margin, joins the filter.  A second-order
+correction is tried when the full step does not lower theta, and a line search
+that accepts no trial resets the filter once and starts again.  A trial point
+outside the model's domain is a rejected trial.  f, c, t and the linear-row
+violation are evaluated once per point.
 
 One stopping rule: the point is a KKT point when its feasibility is at most
 ``EQ_TOL`` and the Lagrangian gradient at the latest QP multipliers is at
@@ -43,10 +51,15 @@ from .transcription import NlpProblem
 MAX_ITERS = 400         # SQP iteration cap, the solver's one setting
 EQ_TOL = 1e-8           # feasibility tolerance for convergence
 KKT_TOL = 1e-6          # stationarity tolerance for convergence
-PENALTY_GROWTH = 2.0
 LS_BACKTRACK = 0.5
 LS_ARMIJO = 1e-4
 MAX_BACKTRACKS = 30
+# Filter constants of Waechter and Biegler (2005); theta is scaled by max(1, theta(z0)).
+FILTER_THETA_MAX = 1e4   # no trial at or above this infeasibility is accepted
+FILTER_THETA_MIN = 1e-4  # f-type steps only at or below this infeasibility
+FILTER_MARGIN = 1e-5     # gamma_theta = gamma_phi: the decrease an h-type step needs
+SWITCH_EXP_F = 2.3       # s_phi, exponent of the predicted f decrease
+SWITCH_EXP_THETA = 1.1   # s_theta, exponent of the infeasibility
 GN_FLOOR = 1e-2         # eigenvalue floor applied to a supplied Lagrangian Hessian
 
 _ACTIVE_TOL = 1e-10
@@ -93,6 +106,12 @@ def fd_jacobian(fun, z, step: float = 1e-6) -> np.ndarray:
     return J
 
 
+def feasibility_tolerance(*bounds) -> float:
+    """The QP's feasibility tolerance: 1e-9 times the largest finite bound, at least 1e-9."""
+    return 1e-9 * max([1.0] + [float(np.max(np.abs(b[np.isfinite(b)]), initial=0.0))
+                               for b in bounds])
+
+
 def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> QpResult:
     """Solve min 1/2 d'Hd + g'd  s.t.  A_eq d = b_eq,  lo <= A_ineq d <= hi.
 
@@ -132,11 +151,7 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> 
     n_eq = A_eq.shape[0]
     max_iter = 50 + 10 * (n + 2 * m)
 
-    scale_b = max(1.0,
-                  float(np.max(np.abs(b_eq), initial=0.0)),
-                  float(np.max(np.abs(lo[np.isfinite(lo)]), initial=0.0)),
-                  float(np.max(np.abs(hi[np.isfinite(hi)]), initial=0.0)))
-    feas_tol = 1e-9 * scale_b
+    feas_tol = feasibility_tolerance(b_eq, lo, hi)
 
     lam = np.zeros(n_eq)
     if n_eq:
@@ -290,11 +305,12 @@ def _linear_violation(A, lo, hi, z):
     return np.maximum(np.maximum(r - hi, lo - r), 0.0)
 
 
-def _merit(f, c_eq, t_vals, lin_viol, sigma):
+def _infeasibility(c_eq, t_vals, lin_viol) -> float:
+    """The filter's theta: |c|_1, the linear-row violation and the positive part of t."""
     total = float(np.sum(np.abs(c_eq))) + float(np.sum(lin_viol))
     if t_vals is not None:
         total += float(np.sum(np.maximum(t_vals, 0.0)))
-    return f + sigma * total
+    return total
 
 
 def _ineq_jac(nlp: NlpProblem):
@@ -372,12 +388,16 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
 
     lam = np.zeros(c.size)
     B = model_hessian(z, lam)
-    sigma = 1.0
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
     relaxed = 0
     status = "max_iters"
     iters_done = 0
+    theta = _infeasibility(c, t_vals, lin_viol)
+    theta_scale = max(1.0, theta)
+    theta_min = FILTER_THETA_MIN * theta_scale
+    filter_start = [(FILTER_THETA_MAX * theta_scale, -np.inf)]
+    filt = list(filter_start)   # (theta, f) pairs; a trial that one dominates is rejected
 
     def violations():
         """(max |c|, max inequality violation) at the current point."""
@@ -398,47 +418,62 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         return float(np.max(np.abs(r), initial=0.0)) <= KKT_TOL
 
     def line_search(d):
-        """Backtrack on the l1 merit along d, trying one second-order correction.
+        """Backtrack along d under the filter, trying one second-order correction.
 
-        Returns (accepted point, its ``evaluate`` values), or None when no
-        trial within MAX_BACKTRACKS is accepted.
+        Returns (accepted point, its ``evaluate`` values, its theta), or None
+        when no trial within MAX_BACKTRACKS is accepted, twice: once with the
+        current filter and once more after resetting it.
         """
-        merit0 = _merit(f, c, t_vals, lin_viol, sigma)
-        viol1_0 = (merit0 - f) / sigma
-        descent = float(g @ d) - sigma * viol1_0
+        gd = float(g @ d)
 
-        def try_point(z_try):
-            """Values and merit at a trial point; a point outside the model's domain has none."""
+        def accept(vals, alpha):
+            """Whether the trial with values ``vals`` at step ``alpha`` is accepted, and its theta."""
+            if vals is None:   # outside the model's domain
+                return False, np.inf
+            f_try, theta_try = vals[0], _infeasibility(*vals[1:])
+            if any(theta_try >= th and f_try >= fv for th, fv in filt):
+                return False, theta_try
+            if (gd < 0.0 and theta <= theta_min
+                    and alpha * (-gd) ** SWITCH_EXP_F > theta ** SWITCH_EXP_THETA):
+                # f-type step: Armijo on f alone, and the filter does not grow.
+                return f_try <= f + LS_ARMIJO * alpha * gd, theta_try
+            if (theta_try <= (1.0 - FILTER_MARGIN) * theta
+                    or f_try <= f - FILTER_MARGIN * theta):
+                filt.append(((1.0 - FILTER_MARGIN) * theta, f - FILTER_MARGIN * theta))
+                return True, theta_try
+            return False, theta_try
+
+        def try_point(z_try, alpha):
+            """(accepted, values, theta) at a trial point; a point outside the model's domain has no values."""
             try:
                 vals = evaluate(z_try)
             except DomainError:
-                return None, np.inf
-            return vals, _merit(*vals, sigma)
+                vals = None
+            return (*accept(vals, alpha), vals)
 
-        alpha = 1.0
-        tried_soc = False
-        for _ in range(MAX_BACKTRACKS):
-            z_try = z + alpha * d
-            vals, m_try = try_point(z_try)
-            bound = merit0 + LS_ARMIJO * alpha * min(descent, 0.0)
-            if m_try <= bound:
-                return z_try, vals
-            if not tried_soc and c.size and vals is not None:
-                # Second-order correction: the full step satisfies the
-                # linearized equalities but curvature reinflates |c|; a
-                # minimum-norm correction restoring J dc = -c(z+d) often
-                # recovers the full step (Maratos remedy).
-                tried_soc = True
-                try:
-                    dc = J.T @ np.linalg.solve(J @ J.T, -vals[1])
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    z_soc = z_try + alpha * dc
-                    vals_soc, m_soc = try_point(z_soc)
-                    if m_soc <= bound:
-                        return z_soc, vals_soc
-            alpha *= LS_BACKTRACK
+        for _ in range(2):
+            alpha = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                z_try = z + alpha * d
+                ok, theta_try, vals = try_point(z_try, alpha)
+                if ok:
+                    return z_try, vals, theta_try
+                if alpha == 1.0 and c.size and vals is not None and theta_try >= theta:
+                    # Second-order correction: the full step satisfies the
+                    # linearized equalities but curvature reinflates |c|; a
+                    # minimum-norm correction restoring J dc = -c(z+d) often
+                    # recovers the full step (Maratos remedy).
+                    try:
+                        dc = J.T @ np.linalg.solve(J @ J.T, -vals[1])
+                    except np.linalg.LinAlgError:
+                        pass
+                    else:
+                        z_soc = z_try + dc
+                        ok, theta_soc, vals_soc = try_point(z_soc, alpha)
+                        if ok:
+                            return z_soc, vals_soc, theta_soc
+                alpha *= LS_BACKTRACK
+            filt[:] = filter_start
         return None
 
     for it in range(1, max_iters + 1):
@@ -476,18 +511,12 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
         nu_lin = nu_all[: nlp.A_ineq.shape[0]]
         nu_nl = nu_all[nlp.A_ineq.shape[0]:] if has_nl else np.zeros(0)
 
-        mult_max = max(float(np.max(np.abs(lam), initial=0.0)),
-                       float(np.max(np.abs(nu_all), initial=0.0)))
-        needed = 1.1 * mult_max
-        if sigma < needed:
-            sigma = max(needed, sigma * PENALTY_GROWTH)
-
         # A zero step or a failed line search ends the solve, converged only at a KKT point.
         step = line_search(d) if float(np.max(np.abs(d), initial=0.0)) >= 1e-13 else None
         if step is None:
             status = "converged" if kkt_point() else "line_search_failure"
             break
-        z, (f, c, t_vals, lin_viol) = step
+        z, (f, c, t_vals, lin_viol), theta = step
         g = nlp.gradient(z)
         J = nlp.eq_jac(z)
         Jt = nl_jac(z) if has_nl else None

@@ -130,6 +130,11 @@ class NlpProblem:
     multipliers ``lam``, or only its objective part where the constraint
     curvature is not formed: the solver floors its eigenvalues and uses it at
     every accepted point.
+
+    ``free_control_direction`` is set by collocation on N = M nodes: the
+    Legendre coefficients of P(tau) = prod_k (tau - tau_k).  Added to a control
+    channel's coefficients, P changes no node value, so no cost term, no
+    collocation row and no node row sees it (see ``analysis.canonical_point``).
     """
 
     n_vars: int
@@ -144,6 +149,7 @@ class NlpProblem:
     ineq_fun: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ineq_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     layout: object = None
+    free_control_direction: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -280,6 +286,12 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
             ax, _ = layout.decode(z)
             return np.atleast_1d(ocp.terminal_constraint(phi_nodes[-1] @ ax))
 
+    free = None
+    if cfg.N == cfg.M:
+        # Imported on first use: numpy.polynomial adds ~5 ms to `import socenv`.
+        from numpy.polynomial.legendre import legfromroots
+        free = legfromroots(nodes)
+
     return NlpProblem(
         n_vars=layout.n_vars,
         objective=objective,
@@ -293,6 +305,7 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
         ineq_jac=ineq_jac,
         hessian=hessian,
         layout=layout,
+        free_control_direction=free,
     )
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import yaml
 
 from . import vehicle_model
 from .errors import DomainError, SingularCurvilinearError
@@ -311,6 +310,9 @@ def vehicle_params_from_dict(d: dict) -> VehicleParams:
 
 def load_config(path) -> dict:
     """Parse a YAML config file with optional vehicle/problem mapping sections."""
+    # Imported on first use: yaml adds ~15 ms to `import socenv`, and only a
+    # --config file needs it.
+    import yaml
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):

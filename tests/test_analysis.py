@@ -10,15 +10,18 @@ from scipy.integrate import solve_ivp
 from socenv import analysis
 from socenv.analysis import (KKT_EQ_RESIDUAL_TOL, KKT_STATIONARITY_TOL,
                              BenchmarkRow, ReferenceTrajectory, _box_violation, _rollout,
-                             dense_violation_scan, ode_rollout_error,
+                             canonical_point, dense_violation_scan, ode_rollout_error,
                              parse_method, quasi_optimal_reference,
                              rows_to_csv, rows_to_json, run_benchmark,
                              solve_method, trajectory_cost)
 from socenv.integrators import rk4_step_timed
+from socenv.nlp import kkt_certificate, solve_sqp
 from socenv.ocp import OcpProblem, academic_problem
 from socenv.polynomial import TimeMap, basis_matrix, lgl_grid, spline_samples
-from socenv.transcription import SplineSolution
+from socenv.transcription import (CollocationConfig, SplineSolution, transcribe,
+                                  transcribe_multiple_shooting)
 from socenv.vehicle import avp_problem
+from test_transcription import avp_point
 
 
 def lq_unconstrained():
@@ -218,6 +221,126 @@ class TestViolationScan:
         sol = SplineSolution(0.5 * np.eye(3, 1), -0.2 * np.eye(3, 1), tm)
         with pytest.raises(ValueError):
             dense_violation_scan(sol, ocp, samples=10)
+
+
+def avp_start(seed):
+    """The AVP initial state of perfbench's seed: the paper's scenario at seed 0."""
+    x0 = np.zeros(10)
+    if seed == 0:
+        x0[0], x0[4] = 1.0, 2.99
+    else:
+        rng = np.random.default_rng(seed)
+        x0[0] = rng.uniform(0.8, 1.2)
+        x0[4] = rng.uniform(2.90, 2.99)
+    return avp_problem(x0=x0)
+
+
+def channel_columns(nlp, ch):
+    return slice(ch * nlp.layout.rows, (ch + 1) * nlp.layout.rows)
+
+
+def feasible_interval(nlp, z, ch):
+    """The t for which every linear row holds at z + t P on channel ch, row by row, no tolerance."""
+    d = np.zeros(nlp.n_vars)
+    d[channel_columns(nlp, ch)] = nlp.free_control_direction
+    t_lo, t_hi = -np.inf, np.inf
+    for a, lo, hi in zip(nlp.A_ineq, nlp.ineq_lower, nlp.ineq_upper):
+        s, r = float(a @ d), float(a @ z)
+        if abs(s) > 1e-12:
+            ends = sorted(((lo - r) / s, (hi - r) / s))
+            t_lo, t_hi = max(t_lo, ends[0]), min(t_hi, ends[1])
+    return t_lo, t_hi
+
+
+def collocation_solve(ocp, label):
+    family, M = label.split("-")
+    nlp = transcribe(ocp, CollocationConfig(M=int(M), mode=family.lower()))
+    z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars))
+    assert rep.status == "converged"
+    return nlp, z, rep
+
+
+class TestCanonicalPoint:
+    """The control direction P that no node sees, and the one point chosen along it."""
+
+    @pytest.mark.parametrize("mode", ["soc", "socse"])
+    @pytest.mark.parametrize("M", range(3, 9))
+    def test_free_direction_is_invisible(self, mode, M):
+        """Along P the objective, the equality rows and the node values stay put;
+        the control between the nodes does not."""
+        nlp = transcribe(avp_problem(), CollocationConfig(M=M, mode=mode))
+        z = avp_point(nlp, M)
+        nodes, _ = lgl_grid(M)
+        L = basis_matrix(M)
+        lay = nlp.layout
+        for ch in range(lay.n_x, lay.n_x + lay.n_u):
+            zt = z.copy()
+            zt[channel_columns(nlp, ch)] += 0.7 * nlp.free_control_direction
+            assert nlp.objective(zt) == pytest.approx(nlp.objective(z), rel=1e-12)
+            np.testing.assert_allclose(nlp.eq_fun(zt), nlp.eq_fun(z), rtol=0.0, atol=1e-12)
+            au, aut = lay.decode(z)[1], lay.decode(zt)[1]
+            np.testing.assert_allclose(spline_samples(aut, L, nodes),
+                                       spline_samples(au, L, nodes), rtol=0.0, atol=1e-12)
+            if mode == "soc":   # the linear rows are the node values
+                np.testing.assert_allclose(nlp.A_ineq @ zt, nlp.A_ineq @ z, rtol=0.0, atol=1e-12)
+            mid = 0.5 * (nodes[:-1] + nodes[1:])
+            assert np.max(np.abs(spline_samples(aut - au, L, mid))) > 1e-3
+
+    def test_no_free_direction_with_more_nodes_or_shooting(self):
+        ocp = academic_problem()
+        for nlp in (transcribe(ocp, CollocationConfig(M=5, mode="pseudospectral")),
+                    transcribe_multiple_shooting(ocp, 10)):
+            assert nlp.free_control_direction is None
+            z = np.zeros(nlp.n_vars)
+            assert canonical_point(nlp, z) is z
+
+    @pytest.mark.parametrize("seed, label", [(0, "SOC-3"), (0, "SOC-5"), (0, "SOCSE-3"),
+                                             (4, "SOCSE-3"), (0, "SOCSE-5")])
+    def test_independent_of_the_solver_path(self, seed, label):
+        """Start from the solver's point moved anywhere inside each channel's
+        feasible interval: the canonical point is the same."""
+        nlp, z, _ = collocation_solve(avp_start(seed), label)
+        want = canonical_point(nlp, z)
+        lay = nlp.layout
+        intervals = [feasible_interval(nlp, z, ch) for ch in range(lay.n_x, lay.n_x + lay.n_u)]
+        for frac in (0.1, 0.5, 0.9):
+            moved = z.copy()
+            for ch, (t_lo, t_hi) in zip(range(lay.n_x, lay.n_x + lay.n_u), intervals):
+                lo, hi = max(t_lo, -1.0), min(t_hi, 1.0)
+                moved[channel_columns(nlp, ch)] += ((1 - frac) * lo + frac * hi
+                                                    ) * nlp.free_control_direction
+            assert np.max(np.abs(canonical_point(nlp, moved) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("seed, label", [(0, "SOCSE-3"), (4, "SOCSE-3"), (0, "SOCSE-5"),
+                                             (0, "SOCSE-8")])
+    def test_canonical_solution_passes_its_checks(self, seed, label):
+        """solve_method's point is canonical: envelope-feasible over the whole
+        horizon, certified, and a fixed point of the move."""
+        ocp = avp_start(seed)
+        rep, sol, nlp, z = solve_method(ocp, label)
+        assert rep.status == "converged"
+        assert np.max(np.abs(canonical_point(nlp, z) - z)) <= 1e-12
+        assert dense_violation_scan(sol, ocp)["max"] <= 1e-6
+        cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
+        assert cert["stationarity"] <= KKT_STATIONARITY_TOL
+        assert cert["eq_residual"] <= KKT_EQ_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("problem, label", [("avp", "SOC-3"), ("avp", "SOC-5"),
+                                                ("academic", "SOC-5")])
+    def test_node_only_control_is_the_node_interpolant(self, problem, label):
+        """No row sees P under node-only collocation, so the control's degree-M
+        coefficient is zeroed."""
+        ocp = avp_start(0) if problem == "avp" else academic_problem()
+        _, sol, _, _ = solve_method(ocp, label)
+        assert np.max(np.abs(sol.alpha_u[-1])) <= 1e-14 * np.max(np.abs(sol.alpha_u))
+
+    @pytest.mark.parametrize("problem, label", [("academic", "SOCSE-5"),
+                                                ("academic", "SOCSE-8"), ("avp", "SOCSE-8")])
+    def test_pinned_channels_do_not_move(self, problem, label):
+        """Active envelope rows on both sides pin every channel: the move changes no bit."""
+        ocp = avp_start(0) if problem == "avp" else academic_problem()
+        nlp, z, _ = collocation_solve(ocp, label)
+        assert canonical_point(nlp, z).tobytes() == z.tobytes()
 
 
 class TestQuasiOptimalReference:

@@ -1,8 +1,12 @@
 """Source hygiene: every module of the package uses each name it imports,
-every private top-level name is used somewhere in the package, and every
-public function or method is used by the package or the benchmark."""
+every private top-level name is used somewhere in the package, every
+public function or method is used by the package or the benchmark, and
+importing the package loads no optional dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +140,13 @@ def test_no_public_function_only_tests_call():
     assert unloaded_public_functions(sources, users) == []
     defined = {name for source in sources.values() for name, _ in public_functions(ast.parse(source))}
     assert set(TEST_ONLY) <= defined
+
+
+def test_import_loads_no_yaml():
+    """Only a --config file needs yaml, so ``import socenv`` and the CLI do not load it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, socenv, socenv.cli; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

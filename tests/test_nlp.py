@@ -436,11 +436,13 @@ class TestSolveSqp:
         assert rep.relaxed_qp_steps == 6
         assert z[0] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", [5, 27, 98])
+    @pytest.mark.parametrize("seed", [4, 5, 27, 98])
     def test_seeded_avp_socse3_converges(self, seed):
         """AVP SOCSE-3 from a perfbench-seeded start converges with a passing certificate.
 
-        These seeds need 61-85 SQP iterations, more than most starts.
+        Under an l1 exact-penalty merit these seeds needed 61-89 SQP
+        iterations, most of them at step 1/32 or 1/64; the filter accepts
+        those steps and each seed takes 23.
         """
         rng = np.random.default_rng(seed)
         x0 = np.zeros(10)
@@ -449,6 +451,7 @@ class TestSolveSqp:
         nlp = transcribe(avp_problem(x0=x0), CollocationConfig(M=3))
         z, rep = solve_sqp(nlp, np.zeros(nlp.n_vars))
         assert rep.status == "converged"
+        assert rep.iterations <= 30
         cert = kkt_certificate(nlp, z, rep.lam_eq, rep.mu_lin, rep.mu_nl)
         assert cert["stationarity"] <= KKT_STATIONARITY_TOL
         assert cert["eq_residual"] <= KKT_EQ_RESIDUAL_TOL
