@@ -34,7 +34,11 @@ most ``KKT_TOL``.  It is tested after every accepted step, and when the QP
 step is zero or the line search accepts no trial; those two end the solve,
 as ``converged`` at a KKT point and ``line_search_failure`` elsewhere.  The QP
 subsolver uses null-space elimination of equalities, then dual active-set on
-inequalities.  Everything is deterministic: fixed pivoting rules, no
+inequalities, warm-started from the sides the previous iteration's QP held
+active (Goldfarb and Idnani, Math. Prog. 27, 1983): most of them are still
+active at the next QP, so it does not add them again one dual iteration at a
+time.  The warm start changes where the dual iterations begin, not which QP
+is solved.  Everything is deterministic: fixed pivoting rules, no
 randomness.
 """
 
@@ -64,6 +68,7 @@ GN_FLOOR = 1e-2         # eigenvalue floor applied to a supplied Lagrangian Hess
 
 _ACTIVE_TOL = 1e-10
 _RANK_TOL = 1e-10     # |R_kk| / |R_00| below which an equality row is dependent
+_WARM_PIVOT_TOL = 1e-6   # min / max Cholesky diagonal below which warm normals are dependent
 
 
 @dataclass
@@ -112,7 +117,8 @@ def feasibility_tolerance(*bounds) -> float:
                                for b in bounds])
 
 
-def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> QpResult:
+def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None,
+                  warm=()) -> QpResult:
     """Solve min 1/2 d'Hd + g'd  s.t.  A_eq d = b_eq,  lo <= A_ineq d <= hi.
 
     Null-space elimination of equalities, then dual active-set on
@@ -123,6 +129,15 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> 
     A_ineq d0; it is solved by dual active-set iterations (Goldfarb-Idnani).
     The equality multipliers are recovered from stationarity,
     lam = -R^-1 Y'(H d + g + A_ineq' mu).
+
+    ``warm`` is a list of (row, side) pairs, such as ``active_set`` of a
+    previous QP with the same rows, that the dual iterations start from.  The
+    sides with a finite bound are held as equalities; while a multiplier is
+    negative, the side with the most negative one is released and the rest
+    solved again.  Each of those solves counts as one of ``iterations`` and
+    toward the cap of dual iterations.  Dependent normals fall back to the
+    cold start from the unconstrained minimum, as does an empty set, so any
+    warm set gives the same optimum as none.
 
     An equality row that depends on the others is dropped with multiplier 0
     when it is consistent with them; otherwise the status is "infeasible".
@@ -168,19 +183,20 @@ def qp_active_set(H, g, A_eq=None, b_eq=None, A_ineq=None, lo=None, hi=None) -> 
         r0 = A_ineq @ d0
         p, mu, active, status, iters = _dual_active_set(
             Z.T @ H @ Z, Z.T @ (H @ d0 + g), A_ineq @ Z, lo - r0, hi - r0,
-            feas_tol, max_iter)
+            feas_tol, max_iter, warm)
         d = d0 + Z @ p
         lam[piv[:rank]] = -solve_triangular(R11, Y.T @ (H @ d + g + A_ineq.T @ mu))
     else:
         d, mu, active, status, iters = _dual_active_set(
-            H, g, A_ineq, lo, hi, feas_tol, max_iter)
+            H, g, A_ineq, lo, hi, feas_tol, max_iter, warm)
     return QpResult(d, lam, mu, active, status, iters)
 
 
-def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
+def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter, warm):
     """Dual active-set iterations for min 1/2 x'Hx + g'x  s.t.  lo <= A x <= hi.
 
-    Start from the unconstrained minimum, repeatedly add the most violated
+    Start from the minimum subject to the warm sides held as equalities (the
+    unconstrained minimum without them), then repeatedly add the most violated
     side with full or partial dual steps, dropping blocking sides as needed.
     Returns (x, signed multiplier per row, active sides, status, iterations).
     """
@@ -202,6 +218,40 @@ def _dual_active_set(H, g, A, lo, hi, feas_tol, max_iter):
     ginv_cols: list = []    # cached H^{-1} @ normal per active side
     normals: list = []
     it_count = 0
+
+    # Warm start: with the warm sides' normals as the columns of N, holding
+    # them as equalities gives x = x0 + H^-1 N w, where (N' H^-1 N) w equals
+    # their rhs less N' x0.  A Cholesky of N' H^-1 N that fails or is nearly
+    # singular means dependent normals: keep the cold start.
+    sides = [(row, side) for row, side in warm if np.isfinite(lo[row] if side < 0 else hi[row])]
+    if sides:
+        rows = [row for row, _ in sides]
+        sign = np.array([side for _, side in sides], dtype=float)
+        N = -sign * A[rows].T
+        Gn = hsolve(N)
+        M = N.T @ Gn
+        rhs = np.where(sign < 0, lo[rows], -hi[rows]) - N.T @ x
+        keep = list(range(len(sides)))
+        while keep:
+            it_count += 1
+            try:
+                fac = cho_factor(M[np.ix_(keep, keep)])
+            except np.linalg.LinAlgError:
+                break
+            diag = np.abs(np.diag(fac[0]))
+            if diag.min() < _WARM_PIVOT_TOL * diag.max():
+                break
+            w = cho_solve(fac, rhs[keep])
+            k_neg = int(np.argmin(w))
+            if w[k_neg] < 0.0:
+                keep.pop(k_neg)
+                continue
+            x = x + Gn[:, keep] @ w
+            active = [sides[k] for k in keep]
+            u = w.tolist()
+            normals = [N[:, k] for k in keep]
+            ginv_cols = [Gn[:, k] for k in keep]
+            break
 
     def directions(nrm, gn):
         """Step in x and in the active multipliers; gn is H^-1 @ nrm."""
@@ -390,6 +440,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
     B = model_hessian(z, lam)
     nu_lin = np.zeros(nlp.A_ineq.shape[0])
     nu_nl = np.zeros(t_vals.size) if has_nl else np.zeros(0)
+    warm = []   # the active sides of the previous iteration's QP, where the next QP starts
     relaxed = 0
     status = "max_iters"
     iters_done = 0
@@ -491,13 +542,14 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
             lo_all = np.concatenate([lo_all, np.full(t_vals.size, -np.inf)])
             hi_all = np.concatenate([hi_all, -t_vals])
 
-        qp = qp_active_set(B, g, J, -c, A_all, lo_all, hi_all)
+        qp = qp_active_set(B, g, J, -c, A_all, lo_all, hi_all, warm)
         if qp.status != "optimal":
             # Proportional relaxation of the equality targets; a crude but
             # deterministic stand-in for a full elastic-mode restoration.
+            # Each retry starts from the sides the failed QP ended with.
             beta = 0.5
             for _ in range(5):
-                qp = qp_active_set(B, g, J, -beta * c, A_all, lo_all, hi_all)
+                qp = qp_active_set(B, g, J, -beta * c, A_all, lo_all, hi_all, qp.active_set)
                 relaxed += 1
                 if qp.status == "optimal":
                     break
@@ -506,6 +558,7 @@ def solve_sqp(nlp: NlpProblem, z0, max_iters: int = MAX_ITERS):
                 status = "qp_failure"
                 break
         d = qp.d
+        warm = qp.active_set
         lam = qp.lam_eq
         nu_all = qp.mu
         nu_lin = nu_all[: nlp.A_ineq.shape[0]]

@@ -246,8 +246,12 @@ def transcribe(ocp: OcpProblem, cfg: CollocationConfig) -> NlpProblem:
 
     def hessian(z, lam):
         ax, X, U = node_values(z)
-        Hl = np.array([np.block([[lxx, lxu], [lxu.T, luu]])
-                       for lxx, lxu, luu in map(ocp.stage_cost_hess, X, U)])
+        Hl = np.empty((len(X), n_c, n_c))
+        for Hk, (lxx, lxu, luu) in zip(Hl, map(ocp.stage_cost_hess, X, U)):
+            Hk[:n_x, :n_x] = lxx
+            Hk[:n_x, n_x:] = lxu
+            Hk[n_x:, :n_x] = lxu.T
+            Hk[n_x:, n_x:] = luu
         # The collocation rows are dphi_k' alpha - scale * f(X_k, U_k).
         Hf = np.array([ocp.dynamics_hessian(x, u, m) for x, u, m in
                        zip(X, U, np.asarray(lam)[n_x:].reshape(-1, n_x))])

@@ -147,6 +147,32 @@ class TestSolve:
                               text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "academic", "--method", "SOCSE-3"],
+        ["bench", "--problem", "academic", "--method", "SOCSE-3", "--skip-reference"],
+    ], ids=["solve", "bench"])
+    def test_first_timed_solve_excludes_the_linalg_import(self, argv):
+        """In a fresh process scipy.linalg is loaded before the first solve
+        starts its clock, so ``wall_time`` does not count the import."""
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from socenv import analysis",
+            "from socenv.cli import main",
+            "loaded = []",
+            "solve_sqp = analysis.solve_sqp",
+            "def recording(*args, **kwargs):",
+            "    loaded.append('scipy.linalg' in sys.modules)",
+            "    return solve_sqp(*args, **kwargs)",
+            "analysis.solve_sqp = recording",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = main({argv!r})",
+            "print(code, loaded)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == f"{EXIT_OK} [True]"
+
     def test_avp_default_config(self, capsys):
         code, out, _ = run(capsys, ["solve", "--problem", "avp", "--config", DEFAULT_CONFIG,
                                     "--method", "SOC-3"])

@@ -143,10 +143,12 @@ def test_no_public_function_only_tests_call():
 
 
 def test_import_loads_no_yaml():
-    """Only a --config file needs yaml, so ``import socenv`` and the CLI do not load it."""
+    """Only a --config file needs yaml, and scipy is imported on first use, so
+    ``import socenv`` and the CLI load neither."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, socenv, socenv.cli; print('yaml' in sys.modules)"
+    code = ("import sys, socenv, socenv.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

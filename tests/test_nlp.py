@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from socenv import nlp
 from socenv.errors import DomainError
 from socenv.analysis import KKT_EQ_RESIDUAL_TOL, KKT_STATIONARITY_TOL
 from socenv.nlp import fd_jacobian, kkt_certificate, qp_active_set, solve_sqp
@@ -173,6 +174,122 @@ class TestQpAgainstEnumeration:
         assert np.array_equal(a.d, b.d)
         assert a.active_set == b.active_set
         assert a.iterations == b.iterations
+
+
+class TestQpWarmStart:
+    """A warm set changes where the dual iterations start, never the QP's solution."""
+
+    def test_random_warm_sets_reach_the_oracle(self):
+        """Random warm sets on the enumeration oracle's problems: wrong sides,
+        sides on an infinite bound and dependent normals are all included."""
+        rng = np.random.default_rng(2024)
+        solved = 0
+        while solved < 50:
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, 7))
+            n_eq = int(rng.integers(0, min(n, 2) + 1))
+            H, g, A_eq, b_eq, A, lo, hi = random_qp(rng, n, m, n_eq)
+            if rng.random() < 0.3:
+                lo[rng.integers(m)] = -np.inf
+            oracle = brute_force_qp(H, g, A_eq, b_eq, A, lo, hi)
+            if oracle is None:
+                continue
+            cold = qp_active_set(H, g, A_eq, b_eq, A, lo, hi)
+            # Up to n rows with one side each, then every side of every row.
+            warm_sets = [cold.active_set] + [
+                [(int(j), int(rng.choice((-1, 1))))
+                 for j in rng.permutation(m)[:rng.integers(1, min(m, n) + 1)]]
+                for _ in range(4)] + [[(j, s) for j in range(m) for s in (-1, 1)]]
+            for warm in warm_sets:
+                res = qp_active_set(H, g, A_eq, b_eq, A, lo, hi, warm)
+                assert res.status == "optimal"
+                obj = 0.5 * res.d @ H @ res.d + g @ res.d
+                assert obj == pytest.approx(oracle[0], abs=1e-8)
+                np.testing.assert_allclose(res.d, oracle[1], atol=1e-6)
+            solved += 1
+
+    def test_optimal_active_set_takes_one_iteration(self):
+        """Started from its own optimal active set, the QP only solves for the multipliers."""
+        data = feasible_qp(np.random.default_rng(3), 30, 15, 20)
+        cold = qp_active_set(*data)
+        assert cold.active_set and cold.iterations > 1
+        warm = qp_active_set(*data, warm=cold.active_set)
+        assert warm.iterations == 1
+        assert sorted(warm.active_set) == sorted(cold.active_set)
+        np.testing.assert_allclose(warm.d, cold.d, atol=1e-9)
+        np.testing.assert_allclose(warm.mu, cold.mu, atol=1e-9)
+
+    # min 1/2|d|^2 - 2 d0 - 2 d1  s.t.  d2 = 0.5,  d0 <= 1,  -1 <= d1 <= 1,
+    # d0 <= 1.5 (row 2 repeats row 0's normal) and d0 + d1 >= -5: the optimum
+    # is (1, 1, 0.5) with the upper sides of rows 0 and 1 active.
+    H = np.eye(3)
+    g = np.array([-2.0, -2.0, 0.0])
+    A_eq, b_eq = np.array([[0.0, 0.0, 1.0]]), np.array([0.5])
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    lo = np.array([-np.inf, -1.0, -np.inf, -5.0])
+    hi = np.array([1.0, 1.0, 1.5, np.inf])
+
+    @pytest.mark.parametrize("warm, iterations", [
+        ([(0, 1), (1, -1)], 3),   # row 1's lower side has multiplier -3: dropped, solved again
+        ([(0, 1), (2, 1)], 3),    # dependent normals: one failed warm solve, then the cold start
+        ([(0, -1), (3, 1)], 2),   # both sides on an infinite bound: nothing to hold
+        ([], 2),                  # the cold start
+    ], ids=["negative_multiplier", "dependent_rows", "infinite_bounds", "empty"])
+    def test_fallbacks_return_the_cold_solution(self, warm, iterations):
+        """Each warm solve counts as one iteration, then two dual iterations
+        (one when row 0 is already held) reach the optimum."""
+        data = (self.H, self.g, self.A_eq, self.b_eq, self.A, self.lo, self.hi)
+        cold = qp_active_set(*data)
+        np.testing.assert_allclose(cold.d, [1.0, 1.0, 0.5], atol=1e-12)
+        res = qp_active_set(*data, warm=warm)
+        assert res.status == "optimal"
+        assert res.iterations == iterations
+        np.testing.assert_allclose(res.d, cold.d, atol=1e-9)
+        np.testing.assert_allclose(res.lam_eq, cold.lam_eq, atol=1e-9)
+        np.testing.assert_allclose(res.mu, cold.mu, atol=1e-9)
+
+    def test_nearly_dependent_normals_fall_back(self):
+        """Normals 1e-7 apart give a Cholesky pivot ratio of 1e-7 < _WARM_PIVOT_TOL:
+        the warm solve is refused and the cold solution returned, not the
+        ill-conditioned one that holds both sides."""
+        eps = 1e-7
+        data = (np.eye(2), np.array([-2.0, -2.0]), None, None,
+                np.array([[1.0, 0.0], [1.0, eps]]), np.full(2, -np.inf),
+                np.array([1.0, 1.0 + 2 * eps - eps**2 / 2]))
+        cold = qp_active_set(*data)
+        res = qp_active_set(*data, warm=[(0, 1), (1, 1)])
+        assert res.iterations == cold.iterations + 1
+        assert res.active_set == cold.active_set
+        np.testing.assert_allclose(res.d, cold.d, atol=1e-9)
+        np.testing.assert_allclose(res.mu, cold.mu, atol=1e-9)
+
+    def test_determinism(self):
+        data = feasible_qp(np.random.default_rng(5), 30, 15, 20)
+        warm = [(j, 1) for j in range(0, 15, 2)] + [(j, -1) for j in range(1, 15, 3)]
+        a = qp_active_set(*data, warm=warm)
+        b = qp_active_set(*data, warm=warm)
+        assert_qp_kkt(a, *data)
+        assert np.array_equal(a.d, b.d)
+        assert np.array_equal(a.lam_eq, b.lam_eq)
+        assert np.array_equal(a.mu, b.mu)
+        assert a.active_set == b.active_set
+        assert a.iterations == b.iterations
+
+    def test_avp_socse8_needs_under_half_the_cold_qp_iterations(self, monkeypatch):
+        """Seed-0 AVP SOCSE-8 from z = 0: cold-started QPs took 587 iterations
+        over the solve's 17 QPs; warm-started ones take 191."""
+        counts = []
+
+        def counting(*args, **kwargs):
+            res = qp_active_set(*args, **kwargs)
+            counts.append(res.iterations)
+            return res
+        monkeypatch.setattr(nlp, "qp_active_set", counting)
+        prob = transcribe(avp_problem(), CollocationConfig(M=8))
+        _, rep = solve_sqp(prob, np.zeros(prob.n_vars))
+        assert rep.status == "converged"
+        assert len(counts) == rep.iterations == 17
+        assert sum(counts) <= 587 // 2
 
 
 def feasible_qp(rng, n, m, n_eq):
